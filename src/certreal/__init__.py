@@ -13,7 +13,6 @@ from certreal.core import (
     Status,
     Verdict,
     approx_real,
-    enclosure_combine,
     poly_descriptor,
     sqrt_enclosure,
     to_rational,
@@ -26,7 +25,6 @@ __all__ = [
     "Status",
     "Verdict",
     "approx_real",
-    "enclosure_combine",
     "poly_descriptor",
     "sqrt_enclosure",
     "to_rational",

@@ -356,13 +356,6 @@ class SawtoothSeries:
     def truncation_error(level: int) -> Fraction:
         return Fraction(1, 3 * 4**level)
 
-    def layer_descriptor(self, n: int) -> FnDescriptor:
-        return FnDescriptor(
-            name=f"sawtooth-layer-{n}",
-            eval_rat=lambda x, _n=n: self.layer_value(_n, x),
-            bound=self.scale(n),
-        )
-
 
 @dataclass(frozen=True)
 class QuotientRecord:

@@ -135,25 +135,16 @@ def count_roots_report(
 
     Each monotone piece contributes at most one root: a sign change across
     the clipped piece is bisected; an exact zero at a piece boundary is
-    counted once.
+    counted once.  Raises MissingMetadataError when the pieces leave part
+    of [lo, hi] uncovered.
     """
     lo, hi = to_rational(lo), to_rational(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
-    pieces = f.monotone_pieces
-    if pieces is None and f.monotone is not None:
-        pieces = ((None, None, f.monotone),)
-    if pieces is None:
-        raise ValueError(f"{f.name or 'function'}: no monotone decomposition registered")
-    cuts = {lo, hi}
-    for plo, phi, _ in pieces:
-        for p in (plo, phi):
-            if p is not None and lo < p < hi:
-                cuts.add(p)
-    xs = sorted(cuts)
+    parts = f.monotone_split(lo, hi)
     roots: list[Enclosure] = []
     seen_zero_points: set[Fraction] = set()
-    for u, v in zip(xs, xs[1:]):
+    for u, v, _ in parts:
         fu, fv = f.value_at(u), f.value_at(v)
         if fu == 0 and u not in seen_zero_points:
             roots.append(Enclosure.point(u))
@@ -163,7 +154,7 @@ def count_roots_report(
             seen_zero_points.add(v)
         if fu * fv < 0:
             roots.append(bisect(Bracket(f, u, v), iterations).enclosure)
-    return RootReport(len(roots), tuple(roots), len(xs) - 1)
+    return RootReport(len(roots), tuple(roots), len(parts))
 
 
 def mvt_witness(

@@ -191,14 +191,10 @@ def _series_from_flags(family: str, args) -> series.SeriesHandle:
     if name in ("harmonic", "alt_harmonic", "newton_gregory", "alt_inv_square",
                 "inv_square", "two_pow_over_three_pow_minus_one"):
         return series.make_series(name)
-    if name == "factorial_power":
+    if name in ("factorial_power", "exp_terms"):
         if args.x is None:
-            raise UsageError("factorial-power needs --x")
-        return series.make_series("factorial_power", x=_fraction(args.x))
-    if name == "exp_terms":
-        if args.x is None:
-            raise UsageError("exp-terms needs --x")
-        return series.make_series("exp_terms", x=_fraction(args.x))
+            raise UsageError(f"{name.replace('_', '-')} needs --x")
+        return series.make_series(name, x=_fraction(args.x))
     raise UsageError(f"unknown series family {family!r}")
 
 
@@ -289,6 +285,13 @@ class Report:
             lines.append(f"{key}: {_jsonable(value, digits)}")
         lines.append(f"elapsed: {time.perf_counter() - self.started:.3f}s")
         return "\n".join(lines)
+
+
+class _CsvReport(Report):
+    """Sample report: text mode prints only the CSV, for external plotters."""
+
+    def render(self, json_mode: bool, digits: int) -> str:
+        return super().render(json_mode, digits) if json_mode else self.extras["csv"]
 
 
 def _verdict_exit(status: Status) -> int:
@@ -495,7 +498,7 @@ def cmd_sample(args) -> tuple[Report, int]:
                 f"{decimal_string(x, args.digits)},"
                 f"{decimal_string(enc.midpoint(), args.digits)}"
             )
-    report = Report("sample", {"fn": args.fn, "from": str(a), "to": str(b), "grid": args.grid})
+    report = _CsvReport("sample", {"fn": args.fn, "from": str(a), "to": str(b), "grid": args.grid})
     report.status = "Converges"
     report.extras["rows"] = len(lines) - 1
     report.extras["csv"] = "\n".join(lines)
@@ -574,6 +577,7 @@ _HANDLERS = {
     "taylor": cmd_taylor,
     "bernstein": cmd_bernstein,
     "rearrange": cmd_rearrange,
+    "sample": cmd_sample,
 }
 
 
@@ -583,13 +587,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sample":
-            report, code = cmd_sample(args)
-            if args.json:
-                print(report.render(True, args.digits))
-            else:
-                print(report.extras["csv"])
-            return code
         report, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ into a "certified" result).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -31,22 +32,6 @@ def to_rational(value: RationalLike) -> Fraction:
             "pass a Fraction or a decimal string" % (value,)
         )
     return Fraction(value)
-
-
-# --- exact field arithmetic (backed by fractions.Fraction) ----------------
-
-def rat_add(a: RationalLike, b: RationalLike) -> Fraction:
-    return to_rational(a) + to_rational(b)
-
-
-def rat_mul(a: RationalLike, b: RationalLike) -> Fraction:
-    return to_rational(a) * to_rational(b)
-
-
-def rat_cmp(a: RationalLike, b: RationalLike) -> int:
-    """Three-way comparison: -1, 0 or +1."""
-    a, b = to_rational(a), to_rational(b)
-    return (a > b) - (a < b)
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
@@ -96,12 +81,6 @@ class Enclosure:
             return self.lo <= other.lo and other.hi <= self.hi
         other = to_rational(other)
         return self.lo <= other <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
 
     def intersect(self, other: "Enclosure") -> "Enclosure":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -167,26 +146,6 @@ class Enclosure:
         return self.decimal()
 
 
-def enclosure_combine(a: Enclosure, b: Union[Enclosure, RationalLike], op: str) -> Enclosure:
-    """Combine enclosures; the result contains op(x, y) for all x in a, y in b.
-
-    op is one of "add", "sub", "mul-by-nonneg-scalar" (b a nonnegative
-    rational, or a degenerate enclosure of one).
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul-by-nonneg-scalar":
-        k = b.lo if isinstance(b, Enclosure) else to_rational(b)
-        if isinstance(b, Enclosure) and b.lo != b.hi:
-            raise ValueError("scalar operand must be degenerate")
-        if k < 0:
-            raise ValueError("scalar must be nonnegative")
-        return a.scale(k)
-    raise ValueError(f"unknown op {op!r}")
-
-
 class Status(Enum):
     CONVERGES = "Converges"
     DIVERGES = "Diverges"
@@ -215,6 +174,10 @@ class Verdict:
 
 # --- function descriptors -------------------------------------------------
 
+class MissingMetadataError(ValueError):
+    """The descriptor lacks the structural claim a certified path needs."""
+
+
 # A monotone piece (lo, hi, direction); None endpoints mean unbounded.
 MonotonePiece = tuple[Optional[Fraction], Optional[Fraction], str]
 
@@ -238,6 +201,11 @@ def _norm_pieces(pieces) -> Optional[tuple[MonotonePiece, ...]]:
     return tuple(out)
 
 
+def _cut_points(lo: Fraction, hi: Fraction, points) -> list[Fraction]:
+    """lo, hi and the points strictly between them, sorted (None is skipped)."""
+    return sorted({lo, hi} | {p for p in points if p is not None and lo < p < hi})
+
+
 @dataclass(frozen=True)
 class FnDescriptor:
     """A real function: an evaluation oracle plus structural metadata.
@@ -246,6 +214,10 @@ class FnDescriptor:
     caller's contract; they are trusted, not verified.  Operations that
     rely on a claim state so in their preconditions.  `spot_check_metadata`
     offers a debug-mode sanity scan.
+
+    Monotone metadata is either one global `monotone` direction or
+    `monotone_pieces`; `monotone_split` is the one reader of both, and
+    every path that needs monotone pieces goes through it.
 
     Evaluation: `eval_rat` for exactly rational-valued functions,
     `eval_enc(x, digits)` for functions only available as enclosures of
@@ -302,8 +274,36 @@ class FnDescriptor:
     def with_meta(self, **changes) -> "FnDescriptor":
         return replace(self, **changes)
 
+    def monotone_split(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction, str]]:
+        """[lo, hi] cut at the monotone-piece boundaries inside it, as
+        (u, v, direction) with the direction of a piece covering [u, v].
 
-def _poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
+        Raises MissingMetadataError when there is no monotone metadata or
+        when the pieces leave part of [lo, hi] uncovered.
+        """
+        pieces = self.monotone_pieces
+        if pieces is None and self.monotone is not None:
+            pieces = ((None, None, self.monotone),)
+        if pieces is None:
+            raise MissingMetadataError(
+                f"{self.name or 'function'}: no monotone decomposition registered"
+            )
+        xs = _cut_points(lo, hi, [p for plo, phi, _ in pieces for p in (plo, phi)])
+        out = []
+        for u, v in zip(xs, xs[1:]):
+            for plo, phi, direction in pieces:
+                if (plo is None or plo <= u) and (phi is None or v <= phi):
+                    out.append((u, v, direction))
+                    break
+            else:
+                raise MissingMetadataError(
+                    f"{self.name or 'function'}: monotone pieces do not cover [{u}, {v}]"
+                )
+        return out
+
+
+def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Horner evaluation of ascending coefficients at x, exactly."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -312,8 +312,6 @@ def _poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
 
 def _quadratic_rational_roots(c0: Fraction, c1: Fraction, c2: Fraction):
     """Rational roots of c2 x^2 + c1 x + c0, or None if irrational."""
-    import math
-
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return ()
@@ -422,7 +420,8 @@ def spot_check_metadata(
     seed: int = 0,
     digits: int = 20,
 ) -> list[str]:
-    """Debug mode: probe monotone / Lipschitz / bound claims on a random grid.
+    """Debug mode: probe monotone (global or piecewise) / Lipschitz / bound
+    claims on a random grid.
 
     Returns a list of human-readable violation reports (empty = no violation
     found).  A clean run is evidence, not proof; the claims stay the
@@ -436,11 +435,25 @@ def spot_check_metadata(
     xs = sorted(lo + span * Fraction(rng.randrange(10**9), 10**9) for _ in range(samples))
     problems: list[str] = []
     vals = [f.enclosure_at(x, digits) for x in xs]
+    # One view per monotone claim, each read through monotone_split.
+    claims = []
+    if f.monotone is not None:
+        claims.append(f.with_meta(monotone_pieces=None))
+    if f.monotone_pieces is not None:
+        claims.append(f)
     for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if f.monotone == "increasing" and v1.lo > v2.hi:
-            problems.append(f"monotone increasing violated between {x1} and {x2}")
-        if f.monotone == "decreasing" and v1.hi < v2.lo:
-            problems.append(f"monotone decreasing violated between {x1} and {x2}")
+        for claim in claims:
+            try:
+                parts = claim.monotone_split(x1, x2)
+            except MissingMetadataError as exc:
+                problems.append(str(exc))
+                continue
+            # a pair straddling a piece boundary says nothing about either piece
+            direction = parts[0][2] if len(parts) == 1 else None
+            if direction == "increasing" and v1.lo > v2.hi:
+                problems.append(f"monotone increasing violated between {x1} and {x2}")
+            if direction == "decreasing" and v1.hi < v2.lo:
+                problems.append(f"monotone decreasing violated between {x1} and {x2}")
         if f.lipschitz is not None:
             gap = abs(v1.midpoint() - v2.midpoint()) - v1.width() - v2.width()
             if gap > f.lipschitz * (x2 - x1):
@@ -462,6 +475,8 @@ def integer_nth_root(x: int, n: int) -> int:
         return 0
     if n == 1:
         return x
+    if n == 2:
+        return math.isqrt(x)
     r = 1 << (x.bit_length() // n + 1)
     while True:
         if r**n <= x < (r + 1) ** n:
@@ -475,19 +490,7 @@ def sqrt_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     This is decimal truncation: the lower endpoints reproduce the familiar
     1.4, 1.41, 1.414, ... approximations of sqrt(2).
     """
-    import math
-
-    q = to_rational(q)
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return Enclosure.point(0)
-    scale = 10**digits
-    s = math.isqrt(q.numerator * q.denominator * scale * scale)
-    den = q.denominator * scale
-    if Fraction(s, den) ** 2 == q:
-        return Enclosure.point(Fraction(s, den))
-    return Enclosure(Fraction(s, den), Fraction(s + 1, den))
+    return nth_root_enclosure(q, 2, digits)
 
 
 def nth_root_enclosure(q: RationalLike, n: int, digits: int = 12) -> Enclosure:
@@ -509,8 +512,6 @@ def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fra
     """Bracket x >= 0 between grid rationals with about `significant`
     significant digits (lo <= x <= hi).  Keeps exact-arithmetic costs
     bounded when only an enclosure of a huge-denominator value is needed."""
-    import math
-
     x = to_rational(x)
     if x < 0:
         raise ValueError("outward_round expects a nonnegative value")
@@ -526,10 +527,13 @@ def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fra
 
 
 def rational_power_enclosure(x: RationalLike, exponent: RationalLike, digits: int = 12) -> Enclosure:
-    """Enclosure of x**exponent for x > 0 and rational exponent p/q."""
+    """Enclosure of x**exponent for rational exponent p/q and x > 0, or
+    x = 0 with a positive exponent (the point 0)."""
     x, exponent = to_rational(x), to_rational(exponent)
-    if x <= 0:
+    if x < 0 or (x == 0 and exponent <= 0):
         raise ValueError("base must be positive")
+    if x == 0:
+        return Enclosure.point(0)
     powered = x**exponent.numerator
     if exponent.denominator == 1:
         return Enclosure.point(powered)
@@ -537,9 +541,6 @@ def rational_power_enclosure(x: RationalLike, exponent: RationalLike, digits: in
 
 
 # --- certified elementary constants / functions (dispatch) ----------------
-
-_APPROX_UNARY = ("sqrt", "exp", "ln", "sin", "cos")
-
 
 def approx_real(name: str, arg: Optional[RationalLike] = None, digits: int = 12) -> Enclosure:
     """Enclosure of width <= 10**-digits for a named elementary quantity.
@@ -556,17 +557,15 @@ def approx_real(name: str, arg: Optional[RationalLike] = None, digits: int = 12)
         if arg is not None:
             raise ValueError("pi takes no argument")
         return ps.pi_enclosure(digits)
-    if name not in _APPROX_UNARY:
+    unary = {
+        "sqrt": sqrt_enclosure,
+        "exp": ps.exp_enclosure,
+        "ln": ps.ln_enclosure,
+        "sin": ps.sin_enclosure,
+        "cos": ps.cos_enclosure,
+    }
+    if name not in unary:
         raise ValueError(f"unknown quantity {name!r}")
     if arg is None:
         raise ValueError(f"{name} needs an argument")
-    x = to_rational(arg)
-    if name == "sqrt":
-        return sqrt_enclosure(x, digits)
-    if name == "exp":
-        return ps.exp_enclosure(x, digits)
-    if name == "ln":
-        return ps.ln_enclosure(x, digits)
-    if name == "sin":
-        return ps.sin_enclosure(x, digits)
-    return ps.cos_enclosure(x, digits)
+    return unary[name](to_rational(arg), digits)

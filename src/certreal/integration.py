@@ -17,9 +17,11 @@ from typing import Optional, Sequence, Union
 from certreal.core import (
     Enclosure,
     FnDescriptor,
+    MissingMetadataError,
     RationalLike,
     Status,
     Verdict,
+    _cut_points,
     rational_power_enclosure,
     to_rational,
 )
@@ -90,10 +92,6 @@ class DarbouxPair:
         return self.upper - self.lower
 
 
-class MissingMetadataError(ValueError):
-    """The descriptor lacks the structural claim a certified path needs."""
-
-
 def _raw_bounds(f: FnDescriptor, x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     """(lower, upper) for f(x) without Enclosure overhead on exact oracles."""
     if f.eval_rat is not None:
@@ -107,33 +105,10 @@ def _interval_bounds_monotone(
     f: FnDescriptor, lo: Fraction, hi: Fraction, digits: int
 ) -> tuple[Fraction, Fraction, bool]:
     """Exact inf/sup on [lo, hi] from (piecewise) monotone metadata."""
-    pieces = f.monotone_pieces
-    if pieces is None and f.monotone is not None:
-        pieces = ((None, None, f.monotone),)
-    if pieces is None:
-        raise MissingMetadataError(
-            f"{f.name or 'function'}: no range rule, step pieces, or monotone pieces"
-        )
-    cuts = {lo, hi}
-    for plo, phi, _ in pieces:
-        for p in (plo, phi):
-            if p is not None and lo < p < hi:
-                cuts.add(p)
-    xs = sorted(cuts)
     los: list[Fraction] = []
     his: list[Fraction] = []
     exact = True
-
-    def covering_direction(u: Fraction, v: Fraction) -> str:
-        for plo, phi, direction in pieces:
-            if (plo is None or plo <= u) and (phi is None or v <= phi):
-                return direction
-        raise MissingMetadataError(
-            f"{f.name or 'function'}: monotone pieces do not cover [{u}, {v}]"
-        )
-
-    for u, v in zip(xs, xs[1:]):
-        direction = covering_direction(u, v)
+    for u, v, direction in f.monotone_split(lo, hi):
         u_lo, u_hi = _raw_bounds(f, u, digits)
         v_lo, v_hi = _raw_bounds(f, v, digits)
         if u_lo != u_hi or v_lo != v_hi:
@@ -150,21 +125,24 @@ def _interval_bounds_monotone(
     return min(los), max(his), exact
 
 
-def _interval_bounds_step(f: FnDescriptor, lo: Fraction, hi: Fraction):
-    values: list[Fraction] = []
-    covered = Fraction(0)
+def _step_overlaps(f: FnDescriptor, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """(overlap length, value) of every step piece meeting [lo, hi]; the
+    pieces must cover [lo, hi]."""
+    overlaps = []
     for left, right, const in f.step_pieces:
         overlap = min(right, hi) - max(left, lo)
         if overlap > 0:
-            values.append(const)
-            covered += overlap
-    for x, v in f.point_values:
-        if lo <= x <= hi:
-            values.append(v)
-    if covered != hi - lo:
+            overlaps.append((overlap, const))
+    if sum(length for length, _ in overlaps) != hi - lo:
         raise MissingMetadataError(
             f"{f.name or 'step function'}: step pieces do not cover [{lo}, {hi}]"
         )
+    return overlaps
+
+
+def _interval_bounds_step(f: FnDescriptor, lo: Fraction, hi: Fraction):
+    values = [const for _, const in _step_overlaps(f, lo, hi)]
+    values += [v for x, v in f.point_values if lo <= x <= hi]
     return min(values), max(values)
 
 
@@ -315,51 +293,10 @@ class IntegralResult:
         return self.enclosure.width()
 
 
-def _split_at_breakpoints(f: FnDescriptor, a: Fraction, b: Fraction):
-    cuts = sorted({a, b} | {p for p in f.breakpoints if a < p < b})
-    return list(zip(cuts, cuts[1:]))
-
-
-def _monotone_pieces_in(f: FnDescriptor, a: Fraction, b: Fraction):
-    pieces = f.monotone_pieces
-    if pieces is None and f.monotone is not None:
-        pieces = ((None, None, f.monotone),)
-    if pieces is None:
-        return None
-    cuts = {a, b}
-    for plo, phi, _ in pieces:
-        for p in (plo, phi):
-            if p is not None and a < p < b:
-                cuts.add(p)
-    xs = sorted(cuts)
-    out = []
-    for u, v in zip(xs, xs[1:]):
-        direction = None
-        for plo, phi, d in pieces:
-            if (plo is None or plo <= u) and (phi is None or v <= phi):
-                direction = d
-                break
-        if direction is None:
-            return None
-        out.append((u, v, direction))
-    return out
-
-
 def _step_integral(f: FnDescriptor, a: Fraction, b: Fraction) -> Fraction:
     """Exact integral of a step descriptor (finitely many points never
     change an integral)."""
-    total = Fraction(0)
-    covered = Fraction(0)
-    for left, right, const in f.step_pieces:
-        lo, hi = max(left, a), min(right, b)
-        if lo < hi:
-            total += const * (hi - lo)
-            covered += hi - lo
-    if covered != b - a:
-        raise MissingMetadataError(
-            f"{f.name or 'step function'}: pieces do not cover [{a}, {b}]"
-        )
-    return total
+    return sum((const * length for length, const in _step_overlaps(f, a, b)), Fraction(0))
 
 
 def integrate_enclosure(
@@ -404,7 +341,8 @@ def integrate_enclosure(
         if status is Status.CONVERGES or method == "antiderivative":
             return IntegralResult(enclosure, status, 0, method="antiderivative")
 
-    pieces = _split_at_breakpoints(f, a, b)
+    cuts = _cut_points(a, b, f.breakpoints)
+    pieces = list(zip(cuts, cuts[1:]))
     total = Enclosure.point(0)
     outer = False
     used = 0
@@ -422,11 +360,17 @@ def integrate_enclosure(
 
 
 def _digits_for(target: Fraction, slack: int) -> int:
-    import math
-
+    """max(8, slack - floor(log10(target))), counted with exact rationals."""
     if target <= 0:
         return 30
-    return max(8, int(-math.floor(math.log10(float(target)))) + slack)
+    # A first guess from the bit lengths (log10(2) ~ 30103/100000) is off
+    # by at most two; exact comparisons with powers of ten settle it.
+    exponent = (target.numerator.bit_length() - target.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** exponent > target:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= target:
+        exponent += 1
+    return max(8, slack - exponent)
 
 
 def _integrate_piece(
@@ -439,7 +383,10 @@ def _integrate_piece(
 ) -> IntegralResult:
     # Monotone polynomial pieces: closed-form Darboux sums at the exactly
     # predicted k ((b-a)(f(b)-f(a))/k shrinkage law).
-    mono = _monotone_pieces_in(f, a, b) if f.poly_coeffs is not None else None
+    try:
+        mono = f.monotone_split(a, b) if f.poly_coeffs is not None else None
+    except MissingMetadataError:
+        mono = None
     if mono is not None:
         lower = upper = Fraction(0)
         used = 0
@@ -685,27 +632,6 @@ def _improper_trace_only(spec: ImproperSpec, max_steps: int, digits: int) -> Ver
         big_t *= 2
         eps /= 2
     return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
-
-
-def principal_value_trace(
-    f: FnDescriptor,
-    steps: int = 5,
-    target_width: RationalLike = Fraction(1, 100),
-) -> list[tuple[Fraction, Enclosure]]:
-    """Symmetric-limit trace (a, integral over [-a, a]) for a in 2, 4, 8, ...
-
-    This is only the Cauchy principal-value diagnostic: a settling trace is
-    never certified as a convergent improper integral (odd integrands make
-    the trace vanish while the two-sided integral diverges).
-    """
-    target = to_rational(target_width)
-    trace: list[tuple[Fraction, Enclosure]] = []
-    a = Fraction(2)
-    for _ in range(steps):
-        result = integrate_enclosure(f, -a, a, target)
-        trace.append((a, result.enclosure))
-        a *= 2
-    return trace
 
 
 # --- the gamma function ------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from certreal.core import (
     Enclosure,
     RationalLike,
+    _poly_eval,
     sqrt_enclosure,
     to_rational,
 )
@@ -281,14 +282,7 @@ class PowerSeries:
 
     def partial_value(self, x: RationalLike, terms: int) -> Fraction:
         """Exact partial sum through order `terms` (empirical: no tail)."""
-        x = to_rational(x)
-        dx = x - self.center
-        acc = Fraction(0)
-        power = Fraction(1)
-        for n in range(terms + 1):
-            acc += self.coeff(n) * power
-            power *= dx
-        return acc
+        return _poly_eval(self.coeffs(terms), to_rational(x) - self.center)
 
     def eval_with_tail(self, x: RationalLike, terms: int) -> Enclosure:
         """Certified evaluation: partial sum +- M r^(n+1)/(1-r), r = R1/R2.
@@ -647,14 +641,7 @@ class TaylorApprox:
     deriv_range: Optional[tuple[Fraction, Fraction]] = None
 
     def poly_value(self, x: RationalLike) -> Fraction:
-        x = to_rational(x)
-        dx = x - self.center
-        acc = Fraction(0)
-        power = Fraction(1)
-        for c in self.coeffs:
-            acc += c * power
-            power *= dx
-        return acc
+        return _poly_eval(self.coeffs, to_rational(x) - self.center)
 
 
 def _shift_once(asc: list[Fraction], c: Fraction) -> tuple[list[Fraction], Fraction]:

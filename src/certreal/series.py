@@ -23,7 +23,7 @@ from certreal.core import (
     rational_power_enclosure,
     to_rational,
 )
-from certreal.sequences import TermStream
+from certreal.sequences import TermStream, partial_sum_stream
 
 TEST_NAMES = (
     "nth_term",
@@ -66,12 +66,12 @@ class TestCertificate:
 
 @dataclass
 class SeriesHandle:
-    """A series: its term stream plus an append-only prefix-sum cache."""
+    """A series: its term stream plus a lazily built prefix-sum stream."""
 
     terms: TermStream
     family: Optional[str] = None
     params: dict = field(default_factory=dict)
-    _sums: dict = field(default_factory=dict, repr=False)
+    _sums: Optional[TermStream] = field(default=None, repr=False, compare=False)
 
     @property
     def n0(self) -> int:
@@ -82,14 +82,9 @@ class SeriesHandle:
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact sum of terms from the start index through n."""
-        if n < self.n0:
-            raise IndexError(f"index {n} below start {self.n0}")
-        top = max(self._sums) if self._sums else self.n0 - 1
-        acc = self._sums.get(top, Fraction(0))
-        for k in range(top + 1, n + 1):
-            acc = acc + self.terms.term(k)
-            self._sums[k] = acc
-        return self._sums[n]
+        if self._sums is None:
+            self._sums = partial_sum_stream(self.terms)
+        return self._sums.term(n)
 
 
 def _pseries_term(p: Fraction, n: int):
@@ -163,7 +158,7 @@ _TERMS_VANISH = {
 }
 
 
-def _test_nth_term(s: SeriesHandle, horizon: int):
+def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
     fam, par = s.family, s.params
     if fam == "geometric":
         if abs(par["r"]) >= 1:
@@ -218,7 +213,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int):
     return None, "no evidence terms stay away from 0"
 
 
-def _test_geometric(s: SeriesHandle, horizon: int):
+def _test_geometric(s: SeriesHandle, horizon: int, ctx: dict):
     if s.family != "geometric":
         return None, "not a registered geometric series"
     a, r = s.params["a"], s.params["r"]
@@ -243,7 +238,7 @@ def _test_geometric(s: SeriesHandle, horizon: int):
     return Verdict(Status.DIVERGES, cert), "fired"
 
 
-def _test_p_series(s: SeriesHandle, horizon: int):
+def _test_p_series(s: SeriesHandle, horizon: int, ctx: dict):
     if s.family != "p_series":
         return None, "not a registered p-series"
     p = s.params["p"]
@@ -277,7 +272,7 @@ def _alternating_structure(s: SeriesHandle, horizon: int):
     return mags
 
 
-def _test_alternating(s: SeriesHandle, horizon: int):
+def _test_alternating(s: SeriesHandle, horizon: int, ctx: dict):
     mags = _alternating_structure(s, horizon)
     if mags is None:
         return None, "prefix is not an alternating series with decreasing magnitudes"
@@ -308,22 +303,18 @@ def _certify_window(
     # the values are still climbing (the harmonic series is the cautionary
     # case for the root test).
     if window.hi <= 1 - delta and trend != "rising":
-        cert = TestCertificate(
-            test,
-            {"window": window, "delta": delta, "trend": trend, **extra},
-            asserted=(f"{test} values stay inside the scanned window beyond the horizon",),
-            detail="window entirely below 1 - delta",
-        )
-        return Verdict(Status.CONVERGES, cert)
-    if window.lo >= 1 + delta and trend != "falling":
-        cert = TestCertificate(
-            test,
-            {"window": window, "delta": delta, "trend": trend, **extra},
-            asserted=(f"{test} values stay inside the scanned window beyond the horizon",),
-            detail="window entirely above 1 + delta",
-        )
-        return Verdict(Status.DIVERGES, cert)
-    return None
+        status, detail = Status.CONVERGES, "window entirely below 1 - delta"
+    elif window.lo >= 1 + delta and trend != "falling":
+        status, detail = Status.DIVERGES, "window entirely above 1 + delta"
+    else:
+        return None
+    cert = TestCertificate(
+        test,
+        {"window": window, "delta": delta, "trend": trend, **extra},
+        asserted=(f"{test} values stay inside the scanned window beyond the horizon",),
+        detail=detail,
+    )
+    return Verdict(status, cert)
 
 
 def _split_trend(values_lo: list[Fraction], values_hi: list[Fraction]) -> str:
@@ -337,7 +328,7 @@ def _split_trend(values_lo: list[Fraction], values_hi: list[Fraction]) -> str:
     return "flat"
 
 
-def _test_ratio(s: SeriesHandle, horizon: int, delta: Fraction):
+def _test_ratio(s: SeriesHandle, horizon: int, ctx: dict):
     try:
         scan = ratio_root_scan(s, horizon, want_root=False)
     except (ZeroDivisionError, ValueError) as exc:
@@ -346,14 +337,14 @@ def _test_ratio(s: SeriesHandle, horizon: int, delta: Fraction):
     values = scan["ratio_values"]
     trend = _split_trend(values, values)
     verdict = _certify_window(
-        "ratio", window, delta, trend, {"scan_range": scan["scan_range"]}
+        "ratio", window, ctx["delta"], trend, {"scan_range": scan["scan_range"]}
     )
     if verdict is not None:
         return verdict, "fired"
     return None, f"ratio window {window} not decisive (trend {trend})"
 
 
-def _test_root(s: SeriesHandle, horizon: int, delta: Fraction):
+def _test_root(s: SeriesHandle, horizon: int, ctx: dict):
     try:
         scan = ratio_root_scan(s, horizon, want_ratio=False)
     except ValueError as exc:
@@ -362,14 +353,15 @@ def _test_root(s: SeriesHandle, horizon: int, delta: Fraction):
     brackets = scan["root_values"]
     trend = _split_trend([b.lo for b in brackets], [b.hi for b in brackets])
     verdict = _certify_window(
-        "root", window, delta, trend, {"scan_range": scan["scan_range"]}
+        "root", window, ctx["delta"], trend, {"scan_range": scan["scan_range"]}
     )
     if verdict is not None:
         return verdict, "fired"
     return None, f"root window {window} not decisive (trend {trend})"
 
 
-def _test_comparison(s: SeriesHandle, horizon: int, partner, partner_verdict):
+def _test_comparison(s: SeriesHandle, horizon: int, ctx: dict):
+    partner, partner_verdict = ctx["partner"], ctx["partner_verdict"]
     if partner is None or partner_verdict is None:
         return None, "no comparison partner supplied"
     ours = [s.term(n) for n in range(s.n0, horizon + 1)]
@@ -397,7 +389,8 @@ def _test_comparison(s: SeriesHandle, horizon: int, partner, partner_verdict):
     return None, "prefix comparison direction does not match partner verdict"
 
 
-def _test_limit_comparison(s: SeriesHandle, horizon: int, partner, partner_verdict):
+def _test_limit_comparison(s: SeriesHandle, horizon: int, ctx: dict):
+    partner, partner_verdict = ctx["partner"], ctx["partner_verdict"]
     if partner is None or partner_verdict is None:
         return None, "no comparison partner supplied"
     lo_idx = max(s.n0, horizon // 2)
@@ -427,7 +420,8 @@ def _test_limit_comparison(s: SeriesHandle, horizon: int, partner, partner_verdi
     return None, "partner verdict not decisive"
 
 
-def _test_integral(s: SeriesHandle, horizon: int, integral_spec):
+def _test_integral(s: SeriesHandle, horizon: int, ctx: dict):
+    integral_spec = ctx["integral_spec"]
     if integral_spec is None:
         return None, "no integral-test partner supplied"
     f = integral_spec.integrand
@@ -455,7 +449,8 @@ def _test_integral(s: SeriesHandle, horizon: int, integral_spec):
     return Verdict(verdict.status, cert), "fired"
 
 
-def _test_cauchy_criterion(s: SeriesHandle, horizon: int, eps: Fraction):
+def _test_cauchy_criterion(s: SeriesHandle, horizon: int, ctx: dict):
+    eps = ctx["eps"]
     lo = max(s.n0, horizon // 2)
     sums = [s.partial_sum(n) for n in range(lo, horizon + 1)]
     oscillation = max(sums) - min(sums)
@@ -478,7 +473,7 @@ _ABS_FAMILY = {
 }
 
 
-def _test_abs_convergence(s: SeriesHandle, horizon: int, delta: Fraction):
+def _test_abs_convergence(s: SeriesHandle, horizon: int, ctx: dict):
     abs_family, abs_params = _ABS_FAMILY.get(s.family, (None, {}))
     inner = SeriesHandle(
         TermStream(lambda n: abs(s.term(n)), s.n0, f"|{s.terms.name}|"),
@@ -486,7 +481,7 @@ def _test_abs_convergence(s: SeriesHandle, horizon: int, delta: Fraction):
         dict(abs_params),
     )
     sub_policy = tuple(t for t in DEFAULT_POLICY if t not in ("alternating",))
-    inner_verdict = classify(inner, sub_policy, horizon, delta)
+    inner_verdict = classify(inner, sub_policy, horizon, ctx["delta"])
     if inner_verdict.status is Status.CONVERGES:
         cert = TestCertificate(
             "abs_convergence",
@@ -497,6 +492,24 @@ def _test_abs_convergence(s: SeriesHandle, horizon: int, delta: Fraction):
         )
         return Verdict(Status.CONVERGES, cert), "fired"
     return None, "absolute-value series not shown convergent"
+
+
+# Every test takes (series, horizon, ctx); ctx carries the classify
+# arguments some tests need (delta, eps, partner, partner_verdict,
+# integral_spec).
+_TESTS = {
+    "nth_term": _test_nth_term,
+    "geometric": _test_geometric,
+    "p_series": _test_p_series,
+    "alternating": _test_alternating,
+    "ratio": _test_ratio,
+    "root": _test_root,
+    "comparison": _test_comparison,
+    "limit_comparison": _test_limit_comparison,
+    "integral": _test_integral,
+    "cauchy_criterion": _test_cauchy_criterion,
+    "abs_convergence": _test_abs_convergence,
+}
 
 
 def classify(
@@ -516,33 +529,18 @@ def classify(
     """
     if not policy:
         raise ValueError("empty test policy")
-    delta, eps = to_rational(delta), to_rational(eps)
+    ctx = {
+        "delta": to_rational(delta),
+        "eps": to_rational(eps),
+        "partner": partner,
+        "partner_verdict": partner_verdict,
+        "integral_spec": integral_spec,
+    }
     trace: list = []
     for test in policy:
-        if test == "nth_term":
-            verdict, note = _test_nth_term(s, horizon)
-        elif test == "geometric":
-            verdict, note = _test_geometric(s, horizon)
-        elif test == "p_series":
-            verdict, note = _test_p_series(s, horizon)
-        elif test == "alternating":
-            verdict, note = _test_alternating(s, horizon)
-        elif test == "ratio":
-            verdict, note = _test_ratio(s, horizon, delta)
-        elif test == "root":
-            verdict, note = _test_root(s, horizon, delta)
-        elif test == "comparison":
-            verdict, note = _test_comparison(s, horizon, partner, partner_verdict)
-        elif test == "limit_comparison":
-            verdict, note = _test_limit_comparison(s, horizon, partner, partner_verdict)
-        elif test == "integral":
-            verdict, note = _test_integral(s, horizon, integral_spec)
-        elif test == "cauchy_criterion":
-            verdict, note = _test_cauchy_criterion(s, horizon, eps)
-        elif test == "abs_convergence":
-            verdict, note = _test_abs_convergence(s, horizon, delta)
-        else:
+        if test not in _TESTS:
             raise ValueError(f"unknown test {test!r} in policy")
+        verdict, note = _TESTS[test](s, horizon, ctx)
         trace.append((test, note))
         if verdict is not None:
             return Verdict(verdict.status, verdict.certificate, verdict.value, tuple(trace))
@@ -844,6 +842,28 @@ def make_product(family: str, **params) -> ProductHandle:
     raise ValueError(f"unknown product family {family!r}")
 
 
+def _tail_start(deltas: SeriesHandle, horizon: int, inside: Callable[[Fraction], bool],
+                range_text: str) -> int:
+    """First checked index n with a_n inside the range; every later checked
+    a_n must stay inside it.
+
+    Convergence is unaffected by finitely many terms, so a product
+    hypothesis on a_n only needs to hold from some tail index onward.
+    """
+    tail_start = None
+    for n in range(deltas.n0, min(horizon, deltas.n0 + 512) + 1):
+        a = deltas.term(n)
+        ok = isinstance(a, Fraction) and inside(a)
+        if tail_start is None:
+            if ok:
+                tail_start = n
+        elif not ok:
+            raise ValueError(f"a_{n} = {a} outside {range_text} after tail start {tail_start}")
+    if tail_start is None:
+        raise ValueError(f"no checked delta lies in {range_text}")
+    return tail_start
+
+
 def product_converges(p: ProductHandle, horizon: int, policy: tuple = DEFAULT_POLICY) -> Verdict:
     """Verdict for an infinite product.
 
@@ -854,22 +874,7 @@ def product_converges(p: ProductHandle, horizon: int, policy: tuple = DEFAULT_PO
     """
     if p.delta_form is not None:
         kind, deltas = p.delta_form
-        checked = min(horizon, deltas.n0 + 512)
-        # Convergence is unaffected by finitely many terms: the (0, 1)
-        # hypothesis only needs to hold from some tail index onward.
-        tail_start = None
-        for n in range(deltas.n0, checked + 1):
-            a = deltas.term(n)
-            inside = isinstance(a, Fraction) and 0 < a < 1
-            if tail_start is None:
-                if inside:
-                    tail_start = n
-            elif not inside:
-                raise ValueError(
-                    f"delta a_{n} = {a} outside (0, 1) after tail start {tail_start}"
-                )
-        if tail_start is None:
-            raise ValueError("no checked delta lies in (0, 1); reduction inapplicable")
+        tail_start = _tail_start(deltas, horizon, lambda a: 0 < a < 1, "(0, 1)")
         series_verdict = classify(deltas, policy, horizon)
         witnesses = {
             "delta_series": deltas.terms.name,
@@ -879,28 +884,21 @@ def product_converges(p: ProductHandle, horizon: int, policy: tuple = DEFAULT_PO
         }
         if p.closed_partial is not None:
             witnesses["partial_product_at_horizon"] = p.closed_partial(horizon)
-        if series_verdict.status is Status.CONVERGES:
-            cert = TestCertificate(
-                "registered:product_delta_reduction",
-                witnesses,
-                machine_checked=series_verdict.certificate.machine_checked,
-                asserted=("0 < a_n < 1 beyond the checked prefix",)
-                + series_verdict.certificate.asserted,
-                detail="product of (1 +/- a_n) converges iff sum a_n converges",
-            )
-            value = p.limit_enclosure(12) if p.limit_enclosure is not None else None
-            return Verdict(Status.CONVERGES, cert, value, trace=series_verdict.trace)
-        if series_verdict.status is Status.DIVERGES:
-            cert = TestCertificate(
-                "registered:product_delta_reduction",
-                witnesses,
-                machine_checked=series_verdict.certificate.machine_checked,
-                asserted=("0 < a_n < 1 beyond the checked prefix",)
-                + series_verdict.certificate.asserted,
-                detail="product of (1 +/- a_n) diverges iff sum a_n diverges",
-            )
-            return Verdict(Status.DIVERGES, cert, trace=series_verdict.trace)
-        return Verdict(Status.INCONCLUSIVE, None, None, trace=series_verdict.trace)
+        if series_verdict.status is Status.INCONCLUSIVE:
+            return Verdict(Status.INCONCLUSIVE, None, None, trace=series_verdict.trace)
+        outcome = series_verdict.status.value.lower()  # "converges" or "diverges"
+        cert = TestCertificate(
+            "registered:product_delta_reduction",
+            witnesses,
+            machine_checked=series_verdict.certificate.machine_checked,
+            asserted=("0 < a_n < 1 beyond the checked prefix",)
+            + series_verdict.certificate.asserted,
+            detail=f"product of (1 +/- a_n) {outcome} iff sum a_n {outcome}",
+        )
+        value = None
+        if series_verdict.status is Status.CONVERGES and p.limit_enclosure is not None:
+            value = p.limit_enclosure(12)
+        return Verdict(series_verdict.status, cert, value, trace=series_verdict.trace)
     if p.family == "one_plus_inv_exp":
         # Registered fact: log-factors ln(1+1/n) - 1/n are O(1/n^2); the
         # closed-form partial product (n+1) e^{-H_n} tends to e^{-gamma}.
@@ -935,22 +933,7 @@ def product_log_series_verdict(p: ProductHandle, horizon: int) -> Verdict:
         raise ValueError("log-series route needs a registered 1 +/- a_n form")
     kind, deltas = p.delta_form
     limit_bound = Fraction(1) if kind == "one_plus" else Fraction(1, 2)
-    checked = min(horizon, deltas.n0 + 512)
-    # Finitely many leading terms may fall outside the bracket range; the
-    # comparison argument applies to the tail, which decides convergence.
-    tail_start = None
-    for n in range(deltas.n0, checked + 1):
-        a = deltas.term(n)
-        inside = isinstance(a, Fraction) and 0 < a <= limit_bound
-        if tail_start is None:
-            if inside:
-                tail_start = n
-        elif not inside:
-            raise ValueError(
-                f"a_{n} = {a} outside (0, {limit_bound}] after tail start {tail_start}"
-            )
-    if tail_start is None:
-        raise ValueError("no checked delta lies in the bracket range")
+    _tail_start(deltas, horizon, lambda a: 0 < a <= limit_bound, f"(0, {limit_bound}]")
     series_verdict = classify(deltas, DEFAULT_POLICY, horizon)
     if series_verdict.status is Status.INCONCLUSIVE:
         return series_verdict

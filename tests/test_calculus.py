@@ -9,7 +9,7 @@ from certreal.calculus import (
     count_roots_report,
     mvt_witness,
 )
-from certreal.core import poly_descriptor, sqrt_enclosure
+from certreal.core import MissingMetadataError, poly_descriptor, sqrt_enclosure
 
 SEXTIC = poly_descriptor([1, 6, 0, 0, 0, 0, 1], name="x^6+6x+1")
 SEXTIC_PIECED = SEXTIC.with_meta(
@@ -60,6 +60,15 @@ def test_count_roots_sextic():
     assert report.count == 2
     for enc in report.roots:
         assert SEXTIC.value_at(enc.lo) * SEXTIC.value_at(enc.hi) <= 0
+
+
+def test_count_roots_refuses_gapped_pieces():
+    # [-3/2, -1/2] is covered by no piece, so nothing says it holds one root
+    gapped = SEXTIC.with_meta(
+        monotone_pieces=((None, F(-3, 2), "decreasing"), (F(-1, 2), None, "increasing"))
+    )
+    with pytest.raises(MissingMetadataError, match="do not cover"):
+        count_roots_report(gapped, -2, 0)
 
 
 def test_count_roots_single_and_none():

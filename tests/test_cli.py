@@ -68,6 +68,23 @@ def test_exit_code_contract(capsys):
         assert code == expected, argv
 
 
+def test_integrate_tiny_width_counts_digits_exactly(capsys):
+    # 1e-400 underflows a float; the digit count must not go through one
+    code, out, _ = run(capsys, "integrate", "poly:x^2", "0", "1", "--width", "1e-400", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "antiderivative"
+    assert (payload["enclosure"]["lo_exact"], payload["enclosure"]["hi_exact"]) == ("1/3", "1/3")
+
+
+def test_integrate_power_from_zero(capsys):
+    # the antiderivative x^(3/2)/(3/2) is evaluated at the endpoint 0
+    code, out, _ = run(capsys, "integrate", "x^1/2", "0", "4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["enclosure"]["lo_exact"], payload["enclosure"]["hi_exact"]) == ("16/3", "16/3")
+
+
 def test_json_byte_identical(capsys):
     commands = [
         ["converge", "alt-harmonic", "--json"],

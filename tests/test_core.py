@@ -3,17 +3,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from certreal.approx import gallery
+
 from certreal.core import (
     Enclosure,
     approx_real,
+    MissingMetadataError,
     decimal_string,
-    enclosure_combine,
     integer_nth_root,
     nth_root_enclosure,
     poly_descriptor,
-    rat_add,
-    rat_cmp,
-    rat_mul,
+    rational_power_enclosure,
     spot_check_metadata,
     to_rational,
 )
@@ -22,15 +22,15 @@ rationals = st.fractions(max_denominator=10**6)
 
 
 def test_rat_ops_examples():
-    assert rat_add(F(1, 2), F(1, 3)) == F(5, 6)
-    assert rat_add(0, F(7, 3)) == F(7, 3)
-    assert rat_mul(F(3, 4), F(4, 3)) == 1
-    assert rat_cmp(F(1, 3), F(1, 2)) == -1
-    assert rat_cmp(F(2, 4), F(1, 2)) == 0
+    assert F(1, 2) + F(1, 3) == F(5, 6)
+    assert to_rational(0) + F(7, 3) == F(7, 3)
+    assert F(3, 4) * F(4, 3) == 1
+    assert F(1, 3) < F(1, 2)
+    assert to_rational("2/4") == F(1, 2)
 
 
 def test_rationals_normalized():
-    value = rat_add(F(1, 6), F(1, 6))
+    value = F(1, 6) + F(1, 6)
     assert value.numerator == 1 and value.denominator == 3
     assert to_rational("2/4").denominator == 2
 
@@ -42,26 +42,23 @@ def test_float_rejected():
 
 @given(rationals, rationals, rationals)
 def test_field_laws(a, b, c):
-    assert rat_add(a, b) == rat_add(b, a)
-    assert rat_mul(a, b) == rat_mul(b, a)
-    assert rat_add(rat_add(a, b), c) == rat_add(a, rat_add(b, c))
-    assert rat_mul(rat_mul(a, b), c) == rat_mul(a, rat_mul(b, c))
-    assert rat_mul(a, rat_add(b, c)) == rat_add(rat_mul(a, b), rat_mul(a, c))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 def test_enclosure_combine_examples():
-    assert enclosure_combine(Enclosure(1, 2), Enclosure(3, 4), "add") == Enclosure(4, 6)
-    assert enclosure_combine(Enclosure(0, 0), Enclosure(F(1, 3), F(2, 3)), "add") == Enclosure(
-        F(1, 3), F(2, 3)
-    )
-    assert enclosure_combine(Enclosure(1, 2), 3, "mul-by-nonneg-scalar") == Enclosure(3, 6)
+    assert Enclosure(1, 2) + Enclosure(3, 4) == Enclosure(4, 6)
+    assert Enclosure(0, 0) + Enclosure(F(1, 3), F(2, 3)) == Enclosure(F(1, 3), F(2, 3))
+    assert Enclosure(1, 2) - Enclosure(3, 4) == Enclosure(-3, -1)
+    assert Enclosure(1, 2).scale(3) == Enclosure(3, 6)
 
 
 def test_enclosure_validation():
     with pytest.raises(ValueError):
         Enclosure(2, 1)
-    with pytest.raises(ValueError):
-        enclosure_combine(Enclosure(1, 2), -1, "mul-by-nonneg-scalar")
 
 
 enclosures = st.tuples(rationals, st.fractions(min_value=0, max_denominator=1000)).map(
@@ -72,10 +69,8 @@ enclosures = st.tuples(rationals, st.fractions(min_value=0, max_denominator=1000
 @given(enclosures, enclosures, st.fractions(min_value=0, max_denominator=100))
 def test_combine_inclusion_monotone(a, b, pad):
     wider_a, wider_b = a.widen(pad), b.widen(pad)
-    for op, operand, wider_operand in (("add", b, wider_b), ("sub", b, wider_b)):
-        inner = enclosure_combine(a, operand, op)
-        outer = enclosure_combine(wider_a, wider_operand, op)
-        assert outer.contains(inner)
+    assert (wider_a + wider_b).contains(a + b)
+    assert (wider_a - wider_b).contains(a - b)
 
 
 @given(enclosures, enclosures)
@@ -132,6 +127,13 @@ def test_integer_nth_root():
     assert enc.lo**3 <= 5 <= enc.hi**3
 
 
+def test_rational_power_at_zero():
+    assert rational_power_enclosure(0, F(3, 2)) == Enclosure.point(0)
+    for x, p in ((-1, F(1, 2)), (0, 0), (0, F(-1, 2))):
+        with pytest.raises(ValueError):
+            rational_power_enclosure(x, p)
+
+
 def test_poly_descriptor_metadata():
     f = poly_descriptor([0, 6, -1], name="6x-x^2")
     assert f.value_at(2) == 8
@@ -145,6 +147,32 @@ def test_spot_check_flags_false_claims():
     assert spot_check_metadata(increasing, 0, 1) == []
     lying = poly_descriptor([0, -1]).with_meta(monotone="increasing")
     assert spot_check_metadata(lying, 0, 1)
+
+
+def test_spot_check_probes_monotone_pieces():
+    bump = gallery("flat_bump")
+    reversed_pieces = tuple(
+        (lo, hi, "increasing" if d == "decreasing" else "decreasing")
+        for lo, hi, d in bump.monotone_pieces
+    )
+    lying = bump.with_meta(monotone_pieces=reversed_pieces)
+    # stay away from 0, where exp(-1/x^2) needs a huge argument
+    for lo, hi in ((-2, F(-1, 4)), (F(1, 4), 2)):
+        assert spot_check_metadata(bump, lo, hi) == []
+        assert any("monotone" in problem for problem in spot_check_metadata(lying, lo, hi))
+
+
+def test_monotone_split():
+    f = poly_descriptor([0, 6, -1])
+    assert f.monotone_split(F(0), F(6)) == [(0, 3, "increasing"), (3, 6, "decreasing")]
+    assert f.monotone_split(F(4), F(5)) == [(4, 5, "decreasing")]
+    global_claim = f.with_meta(monotone_pieces=None, monotone="decreasing")
+    assert global_claim.monotone_split(F(0), F(1)) == [(0, 1, "decreasing")]
+    gapped = f.with_meta(monotone_pieces=((None, 1, "increasing"), (2, None, "decreasing")))
+    with pytest.raises(MissingMetadataError, match="do not cover"):
+        gapped.monotone_split(F(0), F(3))
+    with pytest.raises(MissingMetadataError):
+        f.with_meta(monotone_pieces=None).monotone_split(F(0), F(1))
 
 
 def test_decimal_string():
