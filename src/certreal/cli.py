@@ -43,6 +43,15 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -7 and -0.25 for negative numbers and reads
+        # -1/4 or -1e-3 as an unknown option; accept every negative
+        # rational that `Fraction` reads (no option here looks like one).
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.IGNORECASE
+        )
+
     def error(self, message: str):  # argparse defaults to exit code 2
         raise UsageError(message)
 
@@ -360,8 +369,11 @@ def cmd_integrate(args) -> tuple[Report, int]:
         report.status = verdict.status.value
         report.certificate = verdict.certificate
         report.enclosure = verdict.value
+        # items are ("window", (lo, hi), enclosure) or ("error", message)
         report.trace = [
-            {"window": list(w), "enclosure": enc} for _, w, enc in verdict.trace
+            {"window": list(item[1]), "enclosure": item[2]} if item[0] == "window"
+            else {"error": item[1]}
+            for item in verdict.trace
         ]
         return report, _verdict_exit(verdict.status)
     result = integration.integrate_enclosure(f, _fraction(args.a), _fraction(args.b), width)

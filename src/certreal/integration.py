@@ -373,6 +373,30 @@ def _digits_for(target: Fraction, slack: int) -> int:
     return max(8, slack - exponent)
 
 
+def _memoized(f: FnDescriptor) -> FnDescriptor:
+    """f with each point oracle evaluated at most once per x.
+
+    Doubling k keeps every old grid point, and adjacent subintervals share
+    their endpoint, so without the memo each point of the final grid is
+    evaluated about four times.  Only for one `_integrate_piece` call: its
+    digit count is fixed, so x alone keys the memo.
+    """
+
+    def once(oracle):
+        if oracle is None:
+            return None
+        memo: dict = {}
+
+        def cached(x, *digits):
+            if x not in memo:
+                memo[x] = oracle(x, *digits)
+            return memo[x]
+
+        return cached
+
+    return f.with_meta(eval_rat=once(f.eval_rat), eval_enc=once(f.eval_enc))
+
+
 def _integrate_piece(
     f: FnDescriptor,
     a: Fraction,
@@ -408,6 +432,7 @@ def _integrate_piece(
 
     k = 1
     best: Optional[DarbouxPair] = None
+    f = _memoized(f)
     for _ in range(max_doublings + 1):
         pair = darboux(f, regular_partition(a, b, k), digits)
         if pair.width() <= target:

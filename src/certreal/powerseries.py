@@ -52,17 +52,31 @@ def _target(digits: int) -> Fraction:
 def _exp_positive(q: Fraction, digits: int) -> Enclosure:
     # Terms t_k = q^k / k!; once k + 1 >= 2q the ratio is <= 1/2, so the
     # tail after term k is at most twice the next term.
-    target = _target(digits)
-    total = Fraction(1)
-    term = Fraction(1)
+    #
+    # With q = a/b the partial sum through t_k is N_k / D_k over the common
+    # denominator D_k = b^k k!, where N_k = N_(k-1) b k + a^k, and the next
+    # term is a^(k+1) / (D_k b (k+1)).  Integers only inside the loop: one
+    # gcd at the end instead of one per term, and the same rationals.
+    #
+    # Termination: from the first k with k + 1 >= 2q on, each next term is
+    # at most half the one before (t_(j+1) / t_j = q / (j+1) <= 1/2), so
+    # 2 t_(k+1) <= 10^-digits holds within log2(2 t_(k0+1) 10^digits)
+    # further steps.
+    a, b = q.numerator, q.denominator
+    scale = 2 * 10**digits
+    num = den = power = 1  # N_k, D_k, a^k
     k = 0
     while True:
         k += 1
-        term = term * q / k
-        total += term
-        nxt = term * q / (k + 1)
-        if k + 1 >= 2 * q and 2 * nxt <= target:
-            return Enclosure(total, total + 2 * nxt)
+        power *= a
+        num = num * b * k + power
+        den *= b * k
+        if (k + 1) * b >= 2 * a:
+            nxt_num, nxt_den = power * a, den * b * (k + 1)
+            if scale * nxt_num <= nxt_den:
+                return Enclosure(
+                    Fraction(num, den), Fraction(num * b * (k + 1) + 2 * nxt_num, nxt_den)
+                )
 
 
 def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
@@ -84,6 +98,8 @@ def exp_enclosure_over(x: Enclosure, digits: int = 12) -> Enclosure:
     return Enclosure(lo.lo, hi.hi)
 
 
+# One entry each: it serves a run of calls at one digit count, where a
+# cache per digit count would grow for the life of the process.
 _LN2_CACHE: dict[int, Enclosure] = {}
 
 
@@ -106,9 +122,12 @@ def _atanh_small(z: Fraction, digits: int) -> Enclosure:
 
 
 def _ln2(digits: int) -> Enclosure:
-    if digits not in _LN2_CACHE:
-        _LN2_CACHE[digits] = _atanh_small(Fraction(1, 3), digits).scale(2)
-    return _LN2_CACHE[digits]
+    value = _LN2_CACHE.get(digits)
+    if value is None:
+        value = _atanh_small(Fraction(1, 3), digits).scale(2)
+        _LN2_CACHE.clear()
+        _LN2_CACHE[digits] = value
+    return value
 
 
 def ln_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
@@ -196,18 +215,21 @@ def _atan_inverse_integer(m: int, digits: int) -> Enclosure:
             return Enclosure(min(total, follower), max(total, follower))
 
 
-_PI_CACHE: dict[int, Enclosure] = {}
+_PI_CACHE: dict[int, Enclosure] = {}  # one entry, as _LN2_CACHE
 
 
 def pi_enclosure(digits: int = 12) -> Enclosure:
     """Enclosure of pi of width <= 10**-digits (Machin's identity,
     with the alternating-series tail estimate on each arctangent)."""
-    if digits not in _PI_CACHE:
+    value = _PI_CACHE.get(digits)
+    if value is None:
         inner = digits + 2
         a = _atan_inverse_integer(5, inner)
         b = _atan_inverse_integer(239, inner)
-        _PI_CACHE[digits] = a.scale(16) - b.scale(4)
-    return _PI_CACHE[digits]
+        value = a.scale(16) - b.scale(4)
+        _PI_CACHE.clear()
+        _PI_CACHE[digits] = value
+    return value
 
 
 # --- power series data model -------------------------------------------------

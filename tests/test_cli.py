@@ -135,3 +135,31 @@ def test_usage_error_message(capsys):
     code, _, err = run(capsys, "converge", "geometric")
     assert code == 1
     assert "needs --r" in err
+
+
+def test_improper_without_metadata_reports_error_item(capsys):
+    # the first window of the trace-only schedule has no Darboux metadata;
+    # its ("error", message) trace item is rendered, not unpacked as a window
+    code, out, _ = run(capsys, "integrate", "gallery:sawtooth:8", "0", "inf", "--improper",
+                       "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "Inconclusive"
+    assert payload["enclosure"] is None
+    assert len(payload["trace"]) == 1
+    assert "Darboux bounds" in payload["trace"][0]["error"]
+
+
+def test_negative_rational_endpoints_are_positionals(capsys):
+    for a in ("-1/4", "-0.25", "-25e-2", "-2.5E-1"):
+        code, out, _ = run(capsys, "integrate", "poly:x^2", a, "1", "--json")
+        assert code == 0, a
+        enclosure = json.loads(out)["enclosure"]
+        assert enclosure["lo_exact"] == enclosure["hi_exact"] == "65/192"  # (1 + 1/64) / 3
+    code, out, _ = run(capsys, "sample", "poly:x^2", "--from", "-1/2", "--to", "1/2",
+                       "--grid", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "-0.500000000000,0.250000000000"
+    # what is not a rational still reads as an option
+    code, _, _ = run(capsys, "integrate", "poly:x^2", "-x", "1")
+    assert code == 1

@@ -331,3 +331,21 @@ def test_parts_check_polynomials():
     report = parts_check(u, v, 0, 2)
     assert report.agree
     assert report.right.contains(u.value_at(2) * v.value_at(2))
+
+
+def test_darboux_doubling_evaluates_each_point_once():
+    # k doubles 1 -> 256 on [0, 1]: 257 distinct grid points.  Without the
+    # memo every subinterval evaluates both endpoints at every doubling
+    # (1,022 oracle calls).
+    f = gallery("smooth_step", a=0, b=1)
+    calls = []
+
+    def counted(x, digits):
+        calls.append(x)
+        return f.eval_enc(x, digits)
+
+    result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(3, 500))
+    assert result.status is Status.CONVERGES
+    assert result.subintervals == 256
+    assert len(calls) == len(set(calls)) == 257
+    assert result.enclosure == integrate_enclosure(f, 0, 1, F(3, 500)).enclosure

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certreal.core import Enclosure, approx_real
 from certreal.powerseries import (
@@ -268,3 +269,61 @@ def test_harmonic_number_enclosure():
     enc = harmonic_number_enclosure(100, 20)
     assert enc.contains(exact)
     assert enc.width() <= F(100, 10**20)
+
+
+def _reference_exp(q: F, digits: int) -> Enclosure:
+    """exp_enclosure as a plain Fraction loop: one term and one reduction
+    per step.  The integer kernel must return the same endpoints."""
+    if q == 0:
+        return Enclosure.point(1)
+    x = abs(q)
+    target = F(1, 10**digits)
+    total = term = F(1)
+    k = 0
+    while True:
+        k += 1
+        term = term * x / k
+        total += term
+        nxt = term * x / (k + 1)
+        if k + 1 >= 2 * x and 2 * nxt <= target:
+            enc = Enclosure(total, total + 2 * nxt)
+            return enc if q > 0 else enc.reciprocal()
+
+
+_EXP_ARGS = st.fractions(min_value=-500, max_value=500, max_denominator=10**6)
+
+
+@settings(deadline=None)
+@given(_EXP_ARGS, st.integers(min_value=1, max_value=80))
+def test_exp_enclosure_matches_fraction_loop(q, digits):
+    enc = exp_enclosure(q, digits)
+    ref = _reference_exp(q, digits)
+    assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+    assert enc.width() <= F(1, 10**digits)
+
+
+@settings(deadline=None)
+@given(_EXP_ARGS, st.integers(min_value=1, max_value=80))
+def test_exp_enclosure_contains_mpmath(q, digits):
+    mpmath = pytest.importorskip("mpmath")
+    enc = exp_enclosure(q, digits)
+    # 2x the requested digits after the point, plus the digits before it
+    # (e^500 has 218), plus guard digits for the error in q/b and exp
+    with mpmath.workdps(2 * digits + 230):
+        value = mpmath.exp(mpmath.mpf(q.numerator) / q.denominator)
+        man, exp = value.man_exp
+    reference = F(man) * F(2) ** exp
+    slack = F(1, 10 ** (2 * digits))
+    assert enc.lo - slack <= reference <= enc.hi + slack
+
+
+def test_constant_caches_keep_one_entry():
+    from certreal import powerseries
+
+    first = pi_enclosure(21)
+    for digits in (20, 21, 22):
+        pi_enclosure(digits)
+        ln_enclosure(F(10), digits)
+        assert len(powerseries._PI_CACHE) == len(powerseries._LN2_CACHE) == 1
+    # a recomputed entry is the same enclosure as the evicted one
+    assert pi_enclosure(21) == first
