@@ -338,11 +338,13 @@ def cmd_integrate(args) -> tuple[Report, int]:
         {"fn": args.fn, "a": args.a, "b": args.b, "width": args.width,
          "improper": bool(args.improper)},
     )
+    power = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", args.fn)
+    if power and any(e == "-inf" or (e != "inf" and _fraction(e) < 0) for e in (args.a, args.b)):
+        raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
     if args.improper:
         lo = None if args.a == "-inf" else _fraction(args.a)
         hi = None if args.b == "inf" else _fraction(args.b)
         comparisons = []
-        power = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", args.fn)
         if power:
             exponent = _fraction(power.group(1))
             if hi is None and -exponent > 1:

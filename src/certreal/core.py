@@ -478,6 +478,8 @@ def integer_nth_root(x: int, n: int) -> int:
     if n == 2:
         return math.isqrt(x)
     r = 1 << (x.bit_length() // n + 1)
+    # Termination: r starts above x^(1/n); a Newton step from r > floor(x^(1/n))
+    # lands below r and, by AM-GM, not below floor(x^(1/n)).
     while True:
         if r**n <= x < (r + 1) ** n:
             return r
@@ -519,11 +521,12 @@ def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fra
         return Fraction(0), Fraction(0)
     magnitude = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
     shift = significant - magnitude
-    scale = 10**shift if shift >= 0 else Fraction(1, 10**-shift)
-    scaled = x * scale
-    lo = Fraction(scaled.numerator // scaled.denominator)
-    hi = lo if scaled == lo else lo + 1
-    return lo / scale, hi / scale
+    return _round_out(x, x, 10**shift if shift >= 0 else Fraction(1, 10**-shift))
+
+
+def _round_out(lo: Fraction, hi: Fraction, scale: RationalLike) -> tuple[Fraction, Fraction]:
+    """lo rounded down and hi rounded up to the grid of multiples of 1/scale."""
+    return Fraction(math.floor(lo * scale)) / scale, Fraction(math.ceil(hi * scale)) / scale
 
 
 def rational_power_enclosure(x: RationalLike, exponent: RationalLike, digits: int = 12) -> Enclosure:

@@ -22,6 +22,7 @@ from certreal.core import (
     Status,
     Verdict,
     _cut_points,
+    _round_out,
     rational_power_enclosure,
     to_rational,
 )
@@ -171,12 +172,8 @@ def darboux(f: FnDescriptor, partition: Partition, digits: int = 30) -> DarbouxP
             # Snap outward to a shared decimal grid: still valid outer
             # bounds, and the exact fold over many intervals stays linear
             # (unrelated denominators would make it quadratic).
-            grid = 10**digits
             half_swing = f.lipschitz * width / 2
-            low_scaled = (mid_lo - half_swing) * grid
-            high_scaled = (mid_hi + half_swing) * grid
-            m = Fraction(low_scaled.numerator // low_scaled.denominator, grid)
-            big_m = Fraction(-((-high_scaled.numerator) // high_scaled.denominator), grid)
+            m, big_m = _round_out(mid_lo - half_swing, mid_hi + half_swing, 10**digits)
             outer = True
         else:
             raise MissingMetadataError(
@@ -456,13 +453,14 @@ def _integrate_piece(
 class Comparison:
     """Registered comparison partner for one improper end.
 
-    kinds: "p_at_inf" (|f| <= C x^-p for x >= from_x, p > 1),
-    "exp_at_inf" (|f(x)| <= (const/p) * p * e^(-p x), i.e. rate p and
-    scale const, for x >= from_x),
-    "p_at_zero" (|f(lo + t)| <= C t^-p for small t > 0 measured from the
-    singular lower endpoint, 0 < p < 1),
-    "minorant_p_at_inf" (f >= c x^-p >= 0 for x >= from_x, p <= 1:
-    a certified divergence witness).
+    kinds: "p_at_inf" (|f(x)| <= C |x|^-p for |x| >= from_x, p > 1),
+    "exp_at_inf" (|f(x)| <= (const/p) * p * e^(-p |x|), i.e. rate p and
+    scale const, for |x| >= from_x),
+    "p_at_zero" (|f| <= C t^-p at distance t > 0 inward from the singular
+    endpoint, for small t, 0 < p < 1),
+    "minorant_p_at_inf" (f >= c |x|^-p >= 0 for |x| >= from_x, p <= 1:
+    a certified divergence witness).  The "_at_inf" kinds apply on
+    whichever end is infinite.
     """
 
     kind: str
@@ -497,9 +495,11 @@ class Comparison:
 class ImproperSpec:
     """An improper integral: integrand, interval, singular ends, partners.
 
-    lo=None / hi=None mean -inf / +inf; singular_lo marks an unbounded
-    integrand at the finite lower endpoint (the integral is then taken as a
-    shrinking-epsilon limit).  The integrand must be bounded and integrable
+    lo=None / hi=None mean -inf / +inf; singular_lo / singular_hi mark an
+    unbounded integrand at that finite endpoint (the integral is then taken
+    as a shrinking-epsilon limit).  At most one end may be infinite and at
+    most one singular, and a singular end is finite: split anything else
+    at a finite point first.  The integrand must be bounded and integrable
     on every closed subinterval avoiding the singular ends (caller
     contract).  nonnegative=True sharpens tail enclosures to [0, bound].
     """
@@ -520,34 +520,16 @@ class ImproperCertificate:
     asserted: tuple[str, ...] = ()
 
 
-def reflect_descriptor(f: FnDescriptor) -> FnDescriptor:
-    """The descriptor of x |-> f(-x), with metadata flipped to match."""
-    flip = {"increasing": "decreasing", "decreasing": "increasing", "constant": "constant"}
-    pieces = None
-    if f.monotone_pieces is not None:
-        pieces = tuple(
-            (None if hi is None else -hi, None if lo is None else -lo, flip[d])
-            for lo, hi, d in reversed(f.monotone_pieces)
-        )
-    anti = None
-    if f.antiderivative is not None:
-        inner = f.antiderivative
-        anti = FnDescriptor(
-            name=f"reflected({inner.name})",
-            eval_rat=(lambda x, _g=inner: -_g.eval_rat(-x)) if inner.eval_rat else None,
-            eval_enc=(lambda x, d, _g=inner: -_g.eval_enc(-x, d)) if inner.eval_enc else None,
-        )
-    return FnDescriptor(
-        name=f"reflected({f.name})",
-        eval_rat=(lambda x, _f=f: _f.eval_rat(-x)) if f.eval_rat else None,
-        eval_enc=(lambda x, d, _f=f: _f.eval_enc(-x, d)) if f.eval_enc else None,
-        monotone=flip.get(f.monotone),
-        monotone_pieces=pieces,
-        lipschitz=f.lipschitz,
-        bound=f.bound,
-        antiderivative=anti,
-        breakpoints=tuple(-b for b in reversed(f.breakpoints)),
-    )
+def _window(spec: ImproperSpec, big_t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """The finite interval of one schedule step: an infinite end is cut at
+    -big_t or big_t, a singular end is moved inward by eps."""
+    lo = -big_t if spec.lo is None else spec.lo
+    hi = big_t if spec.hi is None else spec.hi
+    if spec.singular_lo:
+        lo += eps
+    if spec.singular_hi:
+        hi -= eps
+    return lo, hi
 
 
 def improper_integral(
@@ -559,27 +541,19 @@ def improper_integral(
 
     Convergence is certified only through a registered comparison partner
     with an explicit tail (or head) bound; the finite core is evaluated by
-    `integrate_enclosure`.  Without a partner the verdict is Inconclusive
-    and the trace carries the partial integrals.  A registered minorant
-    certifies divergence.  Intervals unbounded below are reflected onto
-    [-b, inf) first.
+    `integrate_enclosure` on the window `_window` cuts out, on whichever
+    side the infinite or singular end lies.  Without a partner the verdict
+    is Inconclusive and the trace carries the partial integrals.  A
+    registered minorant certifies divergence.
     """
     target = to_rational(target_width)
     digits = _digits_for(target, 4)
-    if spec.lo is None or (spec.singular_hi and spec.hi is not None and not spec.singular_lo):
-        if spec.lo is None and spec.hi is None:
-            raise ValueError("split a two-sided improper integral at a finite point first")
-        # reflect [lo, hi) or (-inf, hi] onto a lower-end problem
-        mirrored = ImproperSpec(
-            reflect_descriptor(spec.integrand),
-            None if spec.hi is None else -spec.hi,
-            None if spec.lo is None else -spec.lo,
-            singular_lo=spec.singular_hi,
-            singular_hi=spec.singular_lo,
-            comparisons=spec.comparisons,
-            nonnegative=spec.nonnegative,
-        )
-        return improper_integral(mirrored, target_width, max_steps)
+    if spec.lo is None and spec.hi is None:
+        raise ValueError("split a two-sided improper integral at a finite point first")
+    if (spec.singular_lo and (spec.singular_hi or spec.lo is None)) or (
+        spec.singular_hi and spec.hi is None
+    ):
+        raise ValueError("a window bounds one finite singular end: split at a finite point first")
     for comp in spec.comparisons:
         if comp.kind == "minorant_p_at_inf":
             if comp.p > 1:
@@ -597,46 +571,36 @@ def improper_integral(
     tail_comp = next((c for c in spec.comparisons if c.kind in ("p_at_inf", "exp_at_inf")), None)
     head_comp = next((c for c in spec.comparisons if c.kind == "p_at_zero"), None)
 
-    unbounded_hi = spec.hi is None
-    singular_lo = spec.singular_lo
-    if unbounded_hi and tail_comp is None:
-        return _improper_trace_only(spec, max_steps, digits)
-    if singular_lo and head_comp is None:
+    unbounded = spec.lo is None or spec.hi is None
+    singular = spec.singular_lo or spec.singular_hi
+    if (unbounded and tail_comp is None) or (singular and head_comp is None):
         return _improper_trace_only(spec, max_steps, digits)
 
-    big_t = max(Fraction(2), tail_comp.from_x if tail_comp else Fraction(2))
+    big_t = max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2)
     eps = Fraction(1, 2)
     trace: list = []
     for _ in range(max_steps):
-        lo = (spec.lo + eps) if singular_lo else spec.lo
-        hi = big_t if unbounded_hi else spec.hi
+        lo, hi = _window(spec, big_t, eps)
         core = integrate_enclosure(spec.integrand, lo, hi, target / 2, digits=digits)
-        enclosure = core.enclosure
-        if unbounded_hi:
-            tail_b = tail_comp.tail_bound(big_t, digits)
-            enclosure = enclosure + Enclosure(
-                Fraction(0) if spec.nonnegative else -tail_b, tail_b
-            )
-        if singular_lo:
-            head_b = head_comp.head_bound(eps, digits)
-            enclosure = enclosure + Enclosure(
-                Fraction(0) if spec.nonnegative else -head_b, head_b
-            )
+        rest = tail_comp.tail_bound(big_t, digits) if unbounded else Fraction(0)
+        if singular:
+            rest += head_comp.head_bound(eps, digits)
+        enclosure = core.enclosure + Enclosure(Fraction(0) if spec.nonnegative else -rest, rest)
         trace.append(("window", (str(lo), str(hi)), enclosure))
         if core.status is Status.CONVERGES and enclosure.width() <= target:
             cert = ImproperCertificate(
                 "comparison_majorant",
                 {
-                    "tail": None if not unbounded_hi else f"<= {tail_comp.const} * partner at T={big_t}",
-                    "head": None if not singular_lo else f"<= head bound at eps={eps}",
+                    "tail": f"<= {tail_comp.const} * partner at T={big_t}" if unbounded else None,
+                    "head": f"<= head bound at eps={eps}" if singular else None,
                     "core_method": core.method,
                 },
                 asserted=("the comparison inequalities hold beyond the checked range",),
             )
             return Verdict(Status.CONVERGES, cert, enclosure, trace=tuple(trace))
-        if unbounded_hi:
+        if unbounded:
             big_t *= 2
-        if singular_lo:
+        if singular:
             eps /= 2
     return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
 
@@ -646,8 +610,7 @@ def _improper_trace_only(spec: ImproperSpec, max_steps: int, digits: int) -> Ver
     big_t = Fraction(2)
     eps = Fraction(1, 2)
     for _ in range(min(max_steps, 8)):
-        lo = (spec.lo + eps) if spec.singular_lo else spec.lo
-        hi = big_t if spec.hi is None else spec.hi
+        lo, hi = _window(spec, big_t, eps)
         try:
             core = integrate_enclosure(spec.integrand, lo, hi, Fraction(1, 1000), digits=digits)
             trace.append(("window", (str(lo), str(hi)), core.enclosure))
@@ -672,6 +635,7 @@ def _lower_incomplete_series(s: Fraction, x: Fraction, budget: Fraction, digits:
     total = Fraction(0)
     k = 0
     power = Fraction(1)  # (-x)^k / k!
+    # Termination: x^k / k! tends to 0, so the bound drops below the budget.
     while True:
         total += power / (s + k)
         k += 1
@@ -708,6 +672,9 @@ def gamma(s: RationalLike, digits: int = 6) -> Enclosure:
     inner_digits = _digits_for(scaled_target, 4)
     for _ in range(4):
         big_t = Fraction(2)
+        # Termination: e^(-T/2) tends to 0 and the enclosure is at most
+        # 10^-inner_digits <= scaled_target / 10^4 wider, so 2 * hi falls
+        # below scaled_target / 4 once e^(-T/2) < scaled_target / 9.
         while True:
             tail_hi = 2 * exp_enclosure(-big_t / 2, inner_digits).hi
             if tail_hi <= scaled_target / 4:

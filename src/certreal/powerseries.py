@@ -112,6 +112,7 @@ def _atanh_small(z: Fraction, digits: int) -> Enclosure:
     total = Fraction(0)
     power = z
     j = 0
+    # Termination: the bound shrinks by the factor z^2 < 1 per step.
     while True:
         total += power / (2 * j + 1)
         power *= z2
@@ -168,6 +169,7 @@ def _sin_like(q: Fraction, digits: int, cosine: bool) -> Enclosure:
         total = q
         term = q
         k = 1
+    # Termination: the term ratio q^2 / ((k+1)(k+2)) tends to 0, so nxt does.
     while True:
         term = -term * q * q / ((k + 1) * (k + 2))
         k += 2
@@ -205,6 +207,7 @@ def _atan_inverse_integer(m: int, digits: int) -> Enclosure:
     total = Fraction(0)
     power = x
     j = 0
+    # Termination: nxt <= m^-(2j+1) shrinks by the factor 1/m^2 per step.
     while True:
         total += power / (2 * j + 1) * (-1) ** j
         power *= x * x
@@ -258,18 +261,28 @@ class RadiusInfo:
             raise ValueError("window radius needs a window")
 
 
-def _geo_poly_max(t: Fraction, degree: int) -> Fraction:
-    """Exact max over n >= 0 of (n+1)**degree * t**n for 0 < t < 1."""
+def _peak(ratio: Callable[[int], Fraction], start: RationalLike = 0) -> Fraction:
+    """Exact max over n >= 0 of t_n = ratio(0) * ... * ratio(n-1) (t_0 = 1).
+
+    Termination: the caller's ratio tends to a limit below 1, so some
+    n > start has ratio(n-1) < 1; past `start` the ratio stays below 1 once
+    it gets there, so no later t_n beats the computed ones.
+    """
     best = term = Fraction(1)
     n = 0
     while True:
-        ratio = Fraction(n + 2, n + 1) ** degree * t
-        term = term * ratio
+        step = ratio(n)
+        term *= step
         n += 1
         if term > best:
             best = term
-        if ratio < 1:
+        if n > start and step < 1:
             return best
+
+
+def _geo_poly_max(t: Fraction) -> Fraction:
+    """Exact max over n >= 0 of (n+1) * t**n for 0 < t < 1."""
+    return _peak(lambda n: Fraction(n + 2, n + 1) * t)
 
 
 Domination = Callable[[Fraction], tuple[Fraction, Fraction]]
@@ -335,7 +348,7 @@ class PowerSeries:
         def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
             m, r2 = base.domination(r1)  # type: ignore[misc]
             r_mid = (r1 + r2) / 2
-            scale = _geo_poly_max(r_mid / r2, 1)
+            scale = _geo_poly_max(r_mid / r2)
             return m / r2 * scale, r_mid
 
         return PowerSeries(
@@ -392,7 +405,7 @@ class PowerSeries:
                 mb, r2b = b.domination(r1)  # type: ignore[misc]
                 r2 = min(r2a, r2b)
                 r_mid = (r1 + r2) / 2
-                return ma * mb * _geo_poly_max(r_mid / r2, 1), r_mid
+                return ma * mb * _geo_poly_max(r_mid / r2), r_mid
 
         return PowerSeries(gen, a.center, info, dom, f"({a.name})*({b.name})")
 
@@ -470,15 +483,7 @@ def radius(ps: PowerSeries, mode: str, horizon: int = 64) -> RadiusInfo:
 def _dom_factorial_like(r1: Fraction) -> tuple[Fraction, Fraction]:
     # |c_n| <= 1/n!: exact max of R2^n/n! over n.
     r2 = r1 + 1
-    best = term = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        term = term * r2 / n
-        if term > best:
-            best = term
-        if r2 / (n + 1) < 1:
-            return best, r2
+    return _peak(lambda n: r2 / (n + 1)), r2
 
 
 def _dom_unit_coeff(r1: Fraction) -> tuple[Fraction, Fraction]:
@@ -619,16 +624,9 @@ def binomial_series(alpha: RationalLike) -> PowerSeries:
         if r1 >= 1:
             raise ValueError("argument outside the unit disk")
         r2 = (r1 + 1) / 2
-        best = term = Fraction(1)
-        k = 0
-        while True:
-            ratio = abs(alpha - k) * r2 / (k + 1)
-            term *= ratio
-            k += 1
-            if term > best:
-                best = term
-            if k > abs(alpha) and ratio < 1:
-                return best, r2
+        # for k > |alpha| - 1 the ratio |alpha - k| r2 / (k+1) tends to
+        # r2 < 1: below r2 throughout for alpha > -1, decreasing otherwise
+        return _peak(lambda k: abs(alpha - k) * r2 / (k + 1), abs(alpha)), r2
 
     return PowerSeries(
         gen,

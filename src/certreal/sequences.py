@@ -28,7 +28,7 @@ class TaggedAngle:
 
     Used by the periodic sample streams so that exact examples stay exact:
     comparisons are decided by a fixed exact rule, never by rounding a
-    float.  Two tags are equal iff their angles coincide or are reflections
+    float.  Two tags are equal iff their angles coincide or are mirror images
     about the vertical axis (turns + turns' = 1/2 mod 1); strict order is
     decided by separating certified enclosures.
     """

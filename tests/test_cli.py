@@ -150,6 +150,17 @@ def test_improper_without_metadata_reports_error_item(capsys):
     assert "Darboux bounds" in payload["trace"][0]["error"]
 
 
+def test_power_function_refuses_negative_intervals(capsys):
+    # x^p lives on [0, inf): an interval reaching below 0 is a usage error,
+    # not an internal "base must be positive" from deep inside the integral
+    for argv in (["x^-2", "--improper", "--", "-inf", "-1"], ["x^2", "-1", "1"],
+                 ["x^1/2", "-1", "1"]):
+        code, out, err = run(capsys, "integrate", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and "lives on [0, inf)" in err, argv
+        assert "reaches below 0" in err
+
+
 def test_negative_rational_endpoints_are_positionals(capsys):
     for a in ("-1/4", "-0.25", "-25e-2", "-2.5E-1"):
         code, out, _ = run(capsys, "integrate", "poly:x^2", a, "1", "--json")

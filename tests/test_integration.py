@@ -156,6 +156,9 @@ def test_lipschitz_mode_outer_flag():
     # valid outer bracket around the true integral 5/18... check containment
     true_value = F(1, 2) * (F(1, 3) ** 2 + F(2, 3) ** 2)
     assert pair.lower <= true_value <= pair.upper
+    # the outward snap onto the 10^-30 grid, pinned endpoint by endpoint
+    assert pair.lower == F(1708333333333333333333333333329, 8 * 10**30)
+    assert pair.upper == F(2708333333333333333333333333337, 8 * 10**30)
     result = integrate_enclosure(wiggle, 0, 1, F(1, 100))
     assert result.outer and result.enclosure.contains(true_value)
 
@@ -202,7 +205,7 @@ def test_improper_inverse_sqrt_at_zero():
 
 
 def test_improper_singular_upper_endpoint_reflected():
-    # integrand blows up at the upper endpoint: handled by reflection
+    # integrand blows up at the upper endpoint: the window moves hi inward
     f = FnDescriptor(
         name="(1-x)^-1/2",
         eval_enc=lambda x, d: rational_power_enclosure(1 - x, F(-1, 2), d),
@@ -238,6 +241,59 @@ def test_improper_unbounded_below_reflected():
     verdict = improper_integral(spec, F(1, 10**4))
     assert verdict.status is Status.CONVERGES
     assert verdict.value.contains(1)
+
+
+def test_improper_range_rule_unbounded_below():
+    # only a range rule: no point oracle, so every field of the descriptor
+    # must reach the finite core unchanged
+    from certreal.powerseries import exp_enclosure
+
+    growth = FnDescriptor(
+        name="e^x",
+        range_rule=lambda lo, hi: (exp_enclosure(lo, 12).lo, exp_enclosure(hi, 12).hi),
+        darboux_only=True,
+    )
+    spec = ImproperSpec(
+        growth, None, F(0),
+        comparisons=(Comparison("exp_at_inf", p=F(1), from_x=F(0)),),
+        nonnegative=True,
+    )
+    verdict = improper_integral(spec, F(1, 20))
+    assert verdict.status is Status.CONVERGES
+    assert verdict.value.contains(1)
+    assert verdict.value.width() <= F(1, 20)
+
+
+def test_improper_unbounded_below_windows():
+    from certreal.powerseries import exp_enclosure
+
+    growth = FnDescriptor(
+        name="e^x",
+        eval_enc=lambda x, d: exp_enclosure(x, d),
+        monotone="increasing",
+        antiderivative=FnDescriptor(name="e^x", eval_enc=lambda x, d: exp_enclosure(x, d)),
+    )
+    partner = (Comparison("exp_at_inf", p=F(1), from_x=F(0)),)
+    for comparisons in (partner, ()):
+        verdict = improper_integral(ImproperSpec(growth, None, F(-1), comparisons=comparisons),
+                                    F(1, 100))
+        windows = [item[1] for item in verdict.trace]
+        assert windows[:3] == [("-2", "-1"), ("-4", "-1"), ("-8", "-1")]
+        assert all(hi == "-1" for _, hi in windows)
+
+
+def test_improper_rejects_ends_one_window_cannot_bound():
+    f = FnDescriptor(name="one", eval_rat=lambda x: F(1), monotone="constant")
+    head = (Comparison("p_at_zero", p=F(1, 2)),)
+    for spec in (
+        ImproperSpec(f, F(0), F(1), singular_lo=True, singular_hi=True, comparisons=head),
+        ImproperSpec(f, F(0), None, singular_hi=True, comparisons=head),
+        ImproperSpec(f, None, F(0), singular_lo=True, comparisons=head),
+    ):
+        with pytest.raises(ValueError, match="at a finite point first"):
+            improper_integral(spec)
+    with pytest.raises(ValueError, match="two-sided"):
+        improper_integral(ImproperSpec(f, None, None))
 
 
 def test_improper_divergence_by_minorant():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certreal.core import Enclosure, approx_real
+from certreal.integration import gamma
 from certreal.powerseries import (
     PowerSeries,
     binomial_series,
     constants,
+    cos_enclosure,
     euler_gamma_window,
     exp_enclosure,
     harmonic_number_enclosure,
@@ -18,6 +20,7 @@ from certreal.powerseries import (
     pi_enclosure,
     radius,
     remainder_enclosure,
+    sin_enclosure,
     taylor_poly,
 )
 
@@ -302,19 +305,44 @@ def test_exp_enclosure_matches_fraction_loop(q, digits):
     assert enc.width() <= F(1, 10**digits)
 
 
-@settings(deadline=None)
-@given(_EXP_ARGS, st.integers(min_value=1, max_value=80))
-def test_exp_enclosure_contains_mpmath(q, digits):
+def _positive(bound, denominator):
+    return st.fractions(min_value=0, max_value=bound, max_denominator=denominator).filter(
+        lambda q: q > 0
+    )
+
+
+# name -> (argument strategy or None, largest digit count, guard digits
+# covering the digits before the point and the error in q as an mpf,
+# enclosure, mpmath reference)
+_ORACLE_CASES = {
+    "exp": (_EXP_ARGS, 80, 230, exp_enclosure, lambda mp, q: mp.exp(q)),
+    "ln": (_positive(10**6, 10**6), 80, 10, ln_enclosure, lambda mp, q: mp.log(q)),
+    "sin": (st.fractions(-20, 20, max_denominator=10**6), 80, 10, sin_enclosure,
+            lambda mp, q: mp.sin(q)),
+    "cos": (st.fractions(-20, 20, max_denominator=10**6), 80, 10, cos_enclosure,
+            lambda mp, q: mp.cos(q)),
+    "pi": (None, 80, 10, lambda _, digits: pi_enclosure(digits), lambda mp, _: mp.pi),
+    "gamma": (_positive(4, 10**3), 25, 10, gamma, lambda mp, q: mp.gamma(q)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_enclosure_contains_mpmath(name, data):
+    """An independent reference, mpmath at twice the requested digits,
+    lies inside the enclosure, and the enclosure meets the width bound."""
     mpmath = pytest.importorskip("mpmath")
-    enc = exp_enclosure(q, digits)
-    # 2x the requested digits after the point, plus the digits before it
-    # (e^500 has 218), plus guard digits for the error in q/b and exp
-    with mpmath.workdps(2 * digits + 230):
-        value = mpmath.exp(mpmath.mpf(q.numerator) / q.denominator)
-        man, exp = value.man_exp
-    reference = F(man) * F(2) ** exp
+    args, max_digits, guard, enclosure, reference = _ORACLE_CASES[name]
+    q = data.draw(args) if args is not None else F(0)
+    digits = data.draw(st.integers(min_value=1, max_value=max_digits))
+    enc = enclosure(q, digits)
+    with mpmath.workdps(2 * digits + guard):
+        sign, man, exp, _ = reference(mpmath, mpmath.mpf(q.numerator) / q.denominator)._mpf_
+    value = F(-man if sign else man) * F(2) ** exp
     slack = F(1, 10 ** (2 * digits))
-    assert enc.lo - slack <= reference <= enc.hi + slack
+    assert enc.lo - slack <= value <= enc.hi + slack
+    assert enc.width() <= F(1, 10**digits)
 
 
 def test_constant_caches_keep_one_entry():
