@@ -296,9 +296,12 @@ def gallery(name: str, **params) -> FnDescriptor:
                 return Enclosure.point(0)
             if x >= b:
                 return Enclosure.point(1)
-            rise = exp_enclosure(Fraction(-1) / (x - a), d + 2)
-            fall = exp_enclosure(Fraction(-1) / (b - x), d + 2)
-            return rise.times((rise + fall).reciprocal())
+            # rise / (rise + fall) = 1 / (1 + e^q) with q = 1/(x-a) - 1/(b-x),
+            # written through e^-|q| in (0, 1] so that no exp argument is
+            # large and positive and no enclosure of a sum touches 0
+            q = 1 / (x - a) - 1 / (b - x)
+            larger = (1 + exp_enclosure(-abs(q), d + 1)).reciprocal()  # in [1/2, 1]
+            return larger if q <= 0 else 1 - larger
 
         return FnDescriptor(
             name=f"smooth_step[{a},{b}]",

@@ -307,9 +307,13 @@ def integrate_enclosure(
 ) -> IntegralResult:
     """Two-sided integral enclosure on [a, b] with width <= target_width.
 
-    method "darboux" doubles k on regular partitions (splitting first at
-    registered breakpoints) until U - L meets the target; monotone
-    polynomial pieces use closed-form power sums, so large k costs nothing.
+    method "darboux" splits first at registered breakpoints, then at the
+    monotone-piece boundaries, and doubles k on each piece's regular
+    partition until U - L meets the piece's share of the target.  A
+    monotone piece keeps two running sums over its interior grid points,
+    so each point is evaluated once, and point enclosures enter the sums
+    rounded outward to the 10^-digits grid; monotone polynomial pieces
+    use closed-form power sums, so large k costs nothing.
     method "antiderivative" evaluates a registered antiderivative at the
     endpoints (fundamental theorem).  "auto" prefers the antiderivative
     when one is registered, else Darboux.  If the target is unreachable
@@ -339,21 +343,26 @@ def integrate_enclosure(
             return IntegralResult(enclosure, status, 0, method="antiderivative")
 
     cuts = _cut_points(a, b, f.breakpoints)
-    pieces = list(zip(cuts, cuts[1:]))
+    prec = digits if digits is not None else _digits_for(target / (len(cuts) - 1), 6)
+    return _sum_pieces([
+        _integrate_piece(f, lo, hi, target * (hi - lo) / (b - a), max_doublings, prec)
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
+
+
+def _sum_pieces(pieces: list[IntegralResult]) -> IntegralResult:
+    """The Darboux result on adjacent pieces taken together: Inconclusive
+    if any piece is, outer if any piece is."""
     total = Enclosure.point(0)
-    outer = False
-    used = 0
-    status = Status.CONVERGES
-    prec = digits if digits is not None else _digits_for(target / max(1, len(pieces)), 6)
-    for lo, hi in pieces:
-        piece_target = target * (hi - lo) / (b - a)
-        piece = _integrate_piece(f, lo, hi, piece_target, max_doublings, prec)
+    for piece in pieces:
         total = total + piece.enclosure
-        outer = outer or piece.outer
-        used += piece.subintervals
-        if piece.status is Status.INCONCLUSIVE:
-            status = Status.INCONCLUSIVE
-    return IntegralResult(total, status, used, outer, method="darboux")
+    converged = all(piece.status is Status.CONVERGES for piece in pieces)
+    return IntegralResult(
+        total,
+        Status.CONVERGES if converged else Status.INCONCLUSIVE,
+        sum(piece.subintervals for piece in pieces),
+        any(piece.outer for piece in pieces),
+    )
 
 
 def _digits_for(target: Fraction, slack: int) -> int:
@@ -370,28 +379,70 @@ def _digits_for(target: Fraction, slack: int) -> int:
     return max(8, slack - exponent)
 
 
-def _memoized(f: FnDescriptor) -> FnDescriptor:
-    """f with each point oracle evaluated at most once per x.
+def _monotone_darboux(
+    f: FnDescriptor,
+    u: Fraction,
+    v: Fraction,
+    direction: str,
+    target: Fraction,
+    max_doublings: int,
+    digits: int,
+) -> IntegralResult:
+    """Darboux enclosure on [u, v], where f is monotone, from the first
+    regular k-partition with U - L <= target.
 
-    Doubling k keeps every old grid point, and adjacent subintervals share
-    their endpoint, so without the memo each point of the final grid is
-    evaluated about four times.  Only for one `_integrate_piece` call: its
-    digit count is fixed, so x alone keys the memo.
+    A polynomial takes closed-form sums at the exactly predicted k
+    ((v-u)(f(v)-f(u))/k shrinkage law).  Otherwise: on cell
+    [x_i, x_(i+1)] an increasing f has inf f(x_i) and sup f(x_(i+1)), so
+    L = h (f(u) + S) and U = h (S + f(v)), with S the sum over the
+    interior grid points (decreasing: u and v swap roles; a constant f
+    may take either).  Only the two end values and the two running sums
+    of S's lower and upper bounds are kept: doubling k evaluates just the
+    k new midpoints, so each point is evaluated once and memory stays
+    O(1) in k.  A point enclosure that is not exact is rounded outward to
+    the 10^-digits grid before it enters a sum, which keeps the sums at
+    O(digits) bits whatever the oracle returns.  Stops early, Inconclusive,
+    when doubling no longer shrinks U - L (point enclosures wider than
+    the swing of f).
     """
+    if f.poly_coeffs is not None:
+        swing = abs(f.value_at(v) - f.value_at(u))
+        k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
+        sums = _poly_monotone_darboux_regular(f.poly_coeffs, direction, u, v, k)
+        return IntegralResult(Enclosure(*sums), Status.CONVERGES, k)
+    scale = 10**digits
+    exact = True
 
-    def once(oracle):
-        if oracle is None:
-            return None
-        memo: dict = {}
+    def bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+        nonlocal exact
+        lo, hi = _raw_bounds(f, x, digits)
+        if lo == hi:
+            return lo, hi
+        exact = False
+        return _round_out(lo, hi, scale)
 
-        def cached(x, *digits):
-            if x not in memo:
-                memo[x] = oracle(x, *digits)
-            return memo[x]
-
-        return cached
-
-    return f.with_meta(eval_rat=once(f.eval_rat), eval_enc=once(f.eval_enc))
+    u_lo, u_hi = bounds(u)
+    v_lo, v_hi = bounds(v)
+    end_lo, end_hi = (v_lo, u_hi) if direction == "decreasing" else (u_lo, v_hi)
+    sum_lo = sum_hi = Fraction(0)
+    k = 1
+    best: Optional[IntegralResult] = None
+    for doubling in range(max_doublings + 1):
+        if doubling:
+            step = (v - u) / (2 * k)
+            for j in range(k):
+                lo, hi = bounds(u + (2 * j + 1) * step)
+                sum_lo += lo
+                sum_hi += hi
+            k *= 2
+        h = (v - u) / k
+        lower, upper = h * (end_lo + sum_lo), h * (end_hi + sum_hi)
+        if upper - lower <= target:
+            return IntegralResult(Enclosure(lower, upper), Status.CONVERGES, k, not exact)
+        if best is not None and upper - lower >= best.width():
+            break
+        best = IntegralResult(Enclosure(lower, upper), Status.INCONCLUSIVE, k, not exact)
+    return best
 
 
 def _integrate_piece(
@@ -402,34 +453,29 @@ def _integrate_piece(
     max_doublings: int,
     digits: int,
 ) -> IntegralResult:
-    # Monotone polynomial pieces: closed-form Darboux sums at the exactly
-    # predicted k ((b-a)(f(b)-f(a))/k shrinkage law).
-    try:
-        mono = f.monotone_split(a, b) if f.poly_coeffs is not None else None
-    except MissingMetadataError:
-        mono = None
+    """Darboux enclosure of one breakpoint-free piece [a, b], width <= target.
+
+    A monotone descriptor (no range rule, no step pieces) is cut once by
+    `monotone_split`, and each monotone piece [u, v] gets the share
+    target (v - u) / (b - a) and its own loop (`_monotone_darboux`:
+    closed-form sums for a polynomial, else running sums on a 10^-digits
+    grid).  Range-rule, step and Lipschitz descriptors double k with
+    `darboux`, which evaluates no point twice for them.
+    """
+    mono = None
+    if f.range_rule is None and f.step_pieces is None:
+        try:
+            mono = f.monotone_split(a, b)
+        except MissingMetadataError:
+            pass  # `darboux` below raises it again or uses a Lipschitz constant
     if mono is not None:
-        lower = upper = Fraction(0)
-        used = 0
-        for u, v, direction in mono:
-            swing = abs(f.value_at(v) - f.value_at(u))
-            piece_target = target * (v - u) / (b - a)
-            if swing == 0 or direction == "constant":
-                k = 1
-            else:
-                need = swing * (v - u) / piece_target
-                k = max(1, int(need) + 1)
-            lo_sum, hi_sum = _poly_monotone_darboux_regular(
-                f.poly_coeffs, direction, u, v, k
-            )
-            lower += lo_sum
-            upper += hi_sum
-            used += k
-        return IntegralResult(Enclosure(lower, upper), Status.CONVERGES, used)
+        return _sum_pieces([
+            _monotone_darboux(f, u, v, direction, target * (v - u) / (b - a), max_doublings, digits)
+            for u, v, direction in mono
+        ])
 
     k = 1
     best: Optional[DarbouxPair] = None
-    f = _memoized(f)
     for _ in range(max_doublings + 1):
         pair = darboux(f, regular_partition(a, b, k), digits)
         if pair.width() <= target:
@@ -532,6 +578,17 @@ def _window(spec: ImproperSpec, big_t: Fraction, eps: Fraction) -> tuple[Fractio
     return lo, hi
 
 
+def _first_t(spec: ImproperSpec, big_t: Fraction) -> Fraction:
+    """The schedule's first T: no less than the finite end's distance from
+    0 on the infinite side, so the first window is never reversed (it is
+    empty when the two meet)."""
+    if spec.hi is None:
+        return max(big_t, spec.lo)
+    if spec.lo is None:
+        return max(big_t, -spec.hi)
+    return big_t
+
+
 def improper_integral(
     spec: ImproperSpec,
     target_width: RationalLike = Fraction(1, 10**6),
@@ -576,7 +633,7 @@ def improper_integral(
     if (unbounded and tail_comp is None) or (singular and head_comp is None):
         return _improper_trace_only(spec, max_steps, digits)
 
-    big_t = max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2)
+    big_t = _first_t(spec, max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2))
     eps = Fraction(1, 2)
     trace: list = []
     for _ in range(max_steps):
@@ -607,7 +664,7 @@ def improper_integral(
 
 def _improper_trace_only(spec: ImproperSpec, max_steps: int, digits: int) -> Verdict:
     trace: list = []
-    big_t = Fraction(2)
+    big_t = _first_t(spec, Fraction(2))
     eps = Fraction(1, 2)
     for _ in range(min(max_steps, 8)):
         lo, hi = _window(spec, big_t, eps)

@@ -86,6 +86,14 @@ def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
         return Enclosure.point(1)
     if q > 0:
         return _exp_positive(q, digits)
+    # Early exit: e^q <= 2^-m for m = floor(1.442 |q|), as 1.442 < log2(e).
+    # Once 2^-m <= 10^-digits, [0, 2^-m'] is narrow enough; m' = min(m, cap)
+    # keeps the endpoint at O(digits) bits (2^-m' >= 2^-m still bounds e^q,
+    # and 2^-cap < 10^-digits).
+    cap = 4 * digits + 64
+    m = 1442 * -q.numerator // (1000 * q.denominator)
+    if m >= cap or 1 << m >= 10**digits:
+        return Enclosure(Fraction(0), Fraction(1, 1 << min(m, cap)))
     # exp(q) = 1 / exp(-q); exp(-q) >= 1, so the reciprocal width is no
     # larger than the direct width.
     return _exp_positive(-q, digits).reciprocal()

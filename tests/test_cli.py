@@ -174,3 +174,12 @@ def test_negative_rational_endpoints_are_positionals(capsys):
     # what is not a rational still reads as an option
     code, _, _ = run(capsys, "integrate", "poly:x^2", "-x", "1")
     assert code == 1
+
+
+def test_bump_from_its_flat_point_certifies(capsys):
+    # ran over 2 min: exp(-1/x^2) near 0 summed the series of exp(1/x^2)
+    code, out, _ = run(capsys, "integrate", "gallery:bump", "0", "1", "--width", "1e-3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "Converges"
+    assert F(payload["enclosure"]["hi_exact"]) - F(payload["enclosure"]["lo_exact"]) <= F(1, 1000)

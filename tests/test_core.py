@@ -162,6 +162,11 @@ def test_spot_check_probes_monotone_pieces():
         assert any("monotone" in problem for problem in spot_check_metadata(lying, lo, hi))
 
 
+def test_spot_check_near_the_flat_point_of_the_bump():
+    # samples at |x| ~ 1e-3 ask for exp(-1e6): the early exit answers at once
+    assert spot_check_metadata(gallery("flat_bump"), F(-1, 100), F(1, 100)) == []
+
+
 def test_monotone_split():
     f = poly_descriptor([0, 6, -1])
     assert f.monotone_split(F(0), F(6)) == [(0, 3, "increasing"), (3, 6, "decreasing")]

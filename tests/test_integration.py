@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certreal.approx import gallery
 from certreal.core import (
@@ -17,6 +19,7 @@ from certreal.integration import (
     ImproperSpec,
     MissingMetadataError,
     Partition,
+    _digits_for,
     darboux,
     gamma,
     improper_integral,
@@ -405,3 +408,138 @@ def test_darboux_doubling_evaluates_each_point_once():
     assert result.subintervals == 256
     assert len(calls) == len(set(calls)) == 257
     assert result.enclosure == integrate_enclosure(f, 0, 1, F(3, 500)).enclosure
+
+
+def test_tight_smoothstep_refines_each_point_once():
+    # 1e-4 on [0, 1] needs k = 16384: the running sums evaluate the 16,385
+    # grid points once each, where re-summing every doubling ran past 120 s
+    f = gallery("smooth_step", a=0, b=1)
+    calls = []
+
+    def counted(x, digits):
+        calls.append(x)
+        return f.eval_enc(x, digits)
+
+    result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
+    assert result.status is Status.CONVERGES
+    assert result.subintervals == 16384
+    assert len(calls) == len(set(calls)) == 16385
+    assert result.enclosure.contains(F(1, 2))  # smooth_step(x) + smooth_step(1-x) = 1
+    assert result.width() <= F(1, 10**4)
+
+
+def test_flat_bump_certifies_across_its_flat_point():
+    # each monotone piece of exp(-1/x^2) refines on its own, so the cut at
+    # 0 no longer reads as a stall after one doubling
+    result = integrate_enclosure(gallery("flat_bump"), -1, 1, F(1, 1000))
+    assert result.status is Status.CONVERGES
+    assert result.width() <= F(1, 1000)
+    # 2 (1/e - sqrt(pi) erfc(1)) = 0.1781477...
+    assert result.enclosure.contains(F(1781477, 10**7))
+
+
+def test_darboux_sums_stay_on_the_digit_grid():
+    # grid-rounded point enclosures keep the sums at O(digits) bits (the
+    # unrounded exp endpoints summed to 114,518 bits at k = 256)
+    result = integrate_enclosure(gallery("smooth_step", a=0, b=1), 0, 1, F(3, 500))
+    assert result.outer
+    assert max(x.denominator.bit_length() for x in (result.enclosure.lo, result.enclosure.hi)) < 100
+    exact = integrate_enclosure(poly_descriptor([0, 0, 1]).with_meta(poly_coeffs=None,
+                                                                     antiderivative=None),
+                                0, 1, F(1, 100))
+    assert not exact.outer and exact.enclosure.contains(F(1, 3))
+
+
+def test_narrow_smoothstep_where_both_exps_exit_early():
+    # on [0, 1/12] both e^(-1/(x-a)) and e^(-1/(b-x)) fall below 10^-10 at
+    # x = 1/24; their early-exit enclosures [0, 2^-34] may not be divided
+    # by their sum, which touches 0
+    f = gallery("smooth_step", a=0, b=F(1, 12))
+    assert f.enclosure_at(F(1, 24), 8).contains(F(1, 2))
+    result = integrate_enclosure(f, 0, 1, F(1, 10))
+    assert result.status is Status.CONVERGES
+    assert result.enclosure.contains(F(23, 24))  # 1/24 on the step, 11/12 after it
+
+
+_X_INV_SQUARE = FnDescriptor(
+    name="x^-2",
+    eval_rat=lambda x: 1 / (x * x),
+    monotone_pieces=((None, F(0), "increasing"), (F(0), None, "decreasing")),
+    antiderivative=FnDescriptor(name="-1/x", eval_rat=lambda x: -1 / x),
+)
+
+
+def test_improper_window_starts_at_the_finite_end(capsys):
+    from certreal.cli import main
+
+    partner = (Comparison("p_at_inf", p=F(2), const=F(1), from_x=F(1)),)
+    for lo, hi, value in ((F(10), None, F(1, 10)), (None, F(-3), F(1, 3))):
+        end = str(lo if hi is None else hi)
+        certified, traced = (
+            improper_integral(ImproperSpec(_X_INV_SQUARE, lo, hi, comparisons=comparisons,
+                                           nonnegative=True), F(1, 100))
+            for comparisons in (partner, ())
+        )
+        for verdict in (certified, traced):
+            # the first window is empty, then grows away from the finite end
+            assert verdict.trace[0][1] == (end, end)
+            assert all(F(a) <= F(b) for _, (a, b), _ in verdict.trace)
+        assert certified.status is Status.CONVERGES
+        assert certified.value.contains(value)
+        assert traced.status is Status.INCONCLUSIVE
+    # the CLI ran into "need a <= b" (exit 1) here
+    assert main(["integrate", "poly:x^2", "5", "inf", "--improper", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "Inconclusive"
+    assert payload["trace"][0]["window"] == ["5", "5"]
+    assert payload["trace"][1]["window"] == ["5", "10"]
+
+
+_ENDS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=64),
+                 min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def _mpmath_integral(mpmath, name, lo, hi, params):
+    if name == "flat_bump":
+        cuts = [F(0)]
+
+        def f(x):
+            return mpmath.exp(-1 / x**2) if x != 0 else mpmath.mpf(0)
+    else:
+        a, b = params["a"], params["b"]
+        cuts = [a, b]
+        ma, mb = mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(b.numerator) / b.denominator
+
+        def f(x):
+            if x <= ma:
+                return mpmath.mpf(0)
+            if x >= mb:
+                return mpmath.mpf(1)
+            rise, fall = mpmath.exp(-1 / (x - ma)), mpmath.exp(-1 / (mb - x))
+            return rise / (rise + fall)
+    points = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    return mpmath.quad(f, [mpmath.mpf(p.numerator) / p.denominator for p in points],
+                       error=True)
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_integral_contains_mpmath(data):
+    """mpmath.quad at twice the working digits, an independent reference,
+    lies inside the Darboux enclosure, and the enclosure meets its width."""
+    mpmath = pytest.importorskip("mpmath")
+    name = data.draw(st.sampled_from(["flat_bump", "smooth_step"]))
+    params = dict(zip("ab", data.draw(_ENDS))) if name == "smooth_step" else {}
+    lo, hi = data.draw(_ENDS)
+    target = F(1, data.draw(st.sampled_from([10, 100, 1000])))
+    result = integrate_enclosure(gallery(name, **params), lo, hi, target)
+    assert result.status is Status.CONVERGES
+    assert result.width() <= target
+    digits = 2 * _digits_for(target, 6)
+    with mpmath.workdps(digits):
+        value, error = _mpmath_integral(mpmath, name, lo, hi, params)
+        assert error < mpmath.mpf(10) ** (-digits // 2)
+        sign, man, exp, _ = value._mpf_
+    reference = F(-man if sign else man) * F(2) ** exp
+    slack = F(1, 10**digits)
+    assert result.enclosure.lo - slack <= reference <= result.enclosure.hi + slack

@@ -300,9 +300,23 @@ _EXP_ARGS = st.fractions(min_value=-500, max_value=500, max_denominator=10**6)
 @given(_EXP_ARGS, st.integers(min_value=1, max_value=80))
 def test_exp_enclosure_matches_fraction_loop(q, digits):
     enc = exp_enclosure(q, digits)
-    ref = _reference_exp(q, digits)
-    assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+    m = 1442 * -q.numerator // (1000 * q.denominator)
+    if q < 0 and 2**m >= 10**digits:
+        # early exit: e^q <= 2^-m <= 10^-digits, endpoint capped at O(digits) bits
+        assert (enc.lo, enc.hi) == (0, F(1, 2 ** min(m, 4 * digits + 64)))
+    else:
+        ref = _reference_exp(q, digits)
+        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
     assert enc.width() <= F(1, 10**digits)
+
+
+def test_exp_early_exit_keeps_decreasing():
+    # the M-test's majorants e^-n at 8 digits must stay strictly decreasing
+    # across the switch from the series to the early exit (n = 19)
+    his = [exp_enclosure(-n, 8).hi for n in range(1, 65)]
+    assert all(x > y for x, y in zip(his, his[1:]))
+    assert exp_enclosure(-18, 8).lo > 0 and exp_enclosure(-19, 8).lo == 0
+    assert exp_enclosure(-(10**6), 20).hi == F(1, 2**144)
 
 
 def _positive(bound, denominator):
@@ -315,7 +329,8 @@ def _positive(bound, denominator):
 # covering the digits before the point and the error in q as an mpf,
 # enclosure, mpmath reference)
 _ORACLE_CASES = {
-    "exp": (_EXP_ARGS, 80, 230, exp_enclosure, lambda mp, q: mp.exp(q)),
+    "exp": (st.fractions(min_value=-2000, max_value=500, max_denominator=10**6), 80, 230,
+            exp_enclosure, lambda mp, q: mp.exp(q)),
     "ln": (_positive(10**6, 10**6), 80, 10, ln_enclosure, lambda mp, q: mp.log(q)),
     "sin": (st.fractions(-20, 20, max_denominator=10**6), 80, 10, sin_enclosure,
             lambda mp, q: mp.sin(q)),
