@@ -282,7 +282,6 @@ def gallery(name: str, **params) -> FnDescriptor:
             eval_enc=bump_eval,
             monotone_pieces=((None, Fraction(0), "decreasing"), (Fraction(0), None, "increasing")),
             bound=Fraction(1),
-            smoothness=float("inf"),
         )
     if name == "smooth_step":
         a, b = to_rational(params["a"]), to_rational(params["b"])
@@ -308,7 +307,6 @@ def gallery(name: str, **params) -> FnDescriptor:
             eval_enc=step_eval,
             monotone="increasing",
             bound=Fraction(1),
-            smoothness=float("inf"),
             breakpoints=(a, b),
         )
     if name == "sawtooth":

@@ -310,6 +310,8 @@ def _verdict_exit(status: Status) -> int:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_converge(args) -> tuple[Report, int]:
+    if args.horizon < 1:
+        raise UsageError("--horizon must be at least 1")
     handle = _series_from_flags(args.family, args)
     policy = tuple(args.policy.split(",")) if args.policy else series.DEFAULT_POLICY
     verdict = series.classify(handle, policy, args.horizon)

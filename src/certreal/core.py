@@ -233,7 +233,6 @@ class FnDescriptor:
     monotone_pieces: Optional[tuple[MonotonePiece, ...]] = None
     lipschitz: Optional[Fraction] = None
     bound: Optional[Fraction] = None
-    smoothness: Optional[float] = None
     range_rule: Optional[Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]] = None
     step_pieces: Optional[tuple[tuple[Fraction, Fraction, Fraction], ...]] = None
     point_values: tuple[tuple[Fraction, Fraction], ...] = ()
@@ -406,7 +405,6 @@ def poly_descriptor(
         monotone_pieces=_poly_monotone_pieces(cs),
         poly_coeffs=cs,
         bound=bound,
-        smoothness=float("inf"),
         derivative=derivative,
         antiderivative=antiderivative,
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
     Enclosure,
@@ -296,28 +297,32 @@ def _step_integral(f: FnDescriptor, a: Fraction, b: Fraction) -> Fraction:
     return sum((const * length for length, const in _step_overlaps(f, a, b)), Fraction(0))
 
 
+_MAX_DOUBLINGS = 24  # k stops at 2^24 cells per piece
+
+
 def integrate_enclosure(
     f: FnDescriptor,
     a: RationalLike,
     b: RationalLike,
     target_width: RationalLike,
-    max_doublings: int = 24,
     method: str = "auto",
     digits: Optional[int] = None,
 ) -> IntegralResult:
     """Two-sided integral enclosure on [a, b] with width <= target_width.
 
-    method "darboux" splits first at registered breakpoints, then at the
-    monotone-piece boundaries, and doubles k on each piece's regular
-    partition until U - L meets the piece's share of the target.  A
-    monotone piece keeps two running sums over its interior grid points,
-    so each point is evaluated once, and point enclosures enter the sums
-    rounded outward to the 10^-digits grid; monotone polynomial pieces
-    use closed-form power sums, so large k costs nothing.
-    method "antiderivative" evaluates a registered antiderivative at the
-    endpoints (fundamental theorem).  "auto" prefers the antiderivative
-    when one is registered, else Darboux.  If the target is unreachable
-    within the doubling cap the best pair is returned flagged Inconclusive.
+    "auto" returns the exact integral of a step descriptor, or the
+    difference of a registered antiderivative at the endpoints when that
+    meets the target; otherwise, and always for "darboux", it takes
+    Darboux sums.  [a, b] is cut once, at the registered breakpoints and
+    then at the monotone-piece boundaries, and each piece [u, v] gets the
+    share target (v - u) / (b - a).  A monotone polynomial piece takes
+    closed-form power sums at the exactly predicted k; every other piece
+    doubles k in `_refine` until U - L meets its share, reading its
+    brackets from `_monotone_darboux` (running sums on the 10^-digits
+    grid, each point evaluated once) or, for range-rule, step and
+    Lipschitz descriptors, from `darboux`.  A piece that meets no target
+    within the doubling cap, or stops shrinking, makes the result
+    Inconclusive with its best pair.
     """
     a, b, target = to_rational(a), to_rational(b), to_rational(target_width)
     if a == b:
@@ -326,43 +331,46 @@ def integrate_enclosure(
         raise ValueError("need a <= b")
     if target <= 0:
         raise ValueError("target width must be positive")
-    if method not in ("auto", "darboux", "antiderivative", "step"):
+    if method not in ("auto", "darboux"):
         raise ValueError(f"unknown method {method!r}")
 
-    if f.step_pieces is not None and method in ("auto", "step"):
+    if method == "auto" and f.step_pieces is not None:
         return IntegralResult(
             Enclosure.point(_step_integral(f, a, b)), Status.CONVERGES, 0, method="step"
         )
-    if method in ("auto", "antiderivative") and f.antiderivative is not None:
+    if method == "auto" and f.antiderivative is not None:
         prec = digits if digits is not None else _digits_for(target, 4)
         upper = f.antiderivative.enclosure_at(b, prec)
         lower = f.antiderivative.enclosure_at(a, prec)
         enclosure = upper - lower
-        status = Status.CONVERGES if enclosure.width() <= target else Status.INCONCLUSIVE
-        if status is Status.CONVERGES or method == "antiderivative":
-            return IntegralResult(enclosure, status, 0, method="antiderivative")
+        if enclosure.width() <= target:
+            return IntegralResult(enclosure, Status.CONVERGES, 0, method="antiderivative")
 
     cuts = _cut_points(a, b, f.breakpoints)
     prec = digits if digits is not None else _digits_for(target / (len(cuts) - 1), 6)
-    return _sum_pieces([
-        _integrate_piece(f, lo, hi, target * (hi - lo) / (b - a), max_doublings, prec)
-        for lo, hi in zip(cuts, cuts[1:])
-    ])
+    pieces: list[tuple[Fraction, Fraction, Optional[str]]] = []
+    monotone = f.range_rule is None and f.step_pieces is None
+    for lo, hi in zip(cuts, cuts[1:]):
+        try:
+            pieces += f.monotone_split(lo, hi) if monotone else [(lo, hi, None)]
+        except MissingMetadataError:
+            pieces.append((lo, hi, None))  # `darboux` raises it again or uses a Lipschitz constant
 
-
-def _sum_pieces(pieces: list[IntegralResult]) -> IntegralResult:
-    """The Darboux result on adjacent pieces taken together: Inconclusive
-    if any piece is, outer if any piece is."""
-    total = Enclosure.point(0)
-    for piece in pieces:
+    total, converged, subintervals, outer = Enclosure.point(0), True, 0, False
+    for u, v, direction in pieces:
+        share = target * (v - u) / (b - a)
+        if direction is None:
+            piece = _refine(_darboux_brackets(f, u, v, prec), share)
+        elif f.poly_coeffs is not None:
+            piece = _poly_darboux(f, u, v, direction, share)
+        else:
+            piece = _refine(_monotone_darboux(f, u, v, direction, prec), share)
         total = total + piece.enclosure
-    converged = all(piece.status is Status.CONVERGES for piece in pieces)
-    return IntegralResult(
-        total,
-        Status.CONVERGES if converged else Status.INCONCLUSIVE,
-        sum(piece.subintervals for piece in pieces),
-        any(piece.outer for piece in pieces),
-    )
+        converged = converged and piece.status is Status.CONVERGES
+        subintervals += piece.subintervals
+        outer = outer or piece.outer
+    status = Status.CONVERGES if converged else Status.INCONCLUSIVE
+    return IntegralResult(total, status, subintervals, outer)
 
 
 def _digits_for(target: Fraction, slack: int) -> int:
@@ -379,46 +387,79 @@ def _digits_for(target: Fraction, slack: int) -> int:
     return max(8, slack - exponent)
 
 
-def _monotone_darboux(
-    f: FnDescriptor,
-    u: Fraction,
-    v: Fraction,
-    direction: str,
-    target: Fraction,
-    max_doublings: int,
-    digits: int,
-) -> IntegralResult:
-    """Darboux enclosure on [u, v], where f is monotone, from the first
-    regular k-partition with U - L <= target.
+_Bracket = tuple[int, Fraction, Fraction, bool]  # (k, L, U, outer)
 
-    A polynomial takes closed-form sums at the exactly predicted k
-    ((v-u)(f(v)-f(u))/k shrinkage law).  Otherwise: on cell
-    [x_i, x_(i+1)] an increasing f has inf f(x_i) and sup f(x_(i+1)), so
-    L = h (f(u) + S) and U = h (S + f(v)), with S the sum over the
-    interior grid points (decreasing: u and v swap roles; a constant f
-    may take either).  Only the two end values and the two running sums
-    of S's lower and upper bounds are kept: doubling k evaluates just the
-    k new midpoints, so each point is evaluated once and memory stays
-    O(1) in k.  A point enclosure that is not exact is rounded outward to
-    the 10^-digits grid before it enters a sum, which keeps the sums at
-    O(digits) bits whatever the oracle returns.  Stops early, Inconclusive,
-    when doubling no longer shrinks U - L (point enclosures wider than
-    the swing of f).
+
+def _refine(brackets: Iterator[_Bracket], target: Fraction) -> IntegralResult:
+    """The first bracket with U - L <= target, Converges.
+
+    `brackets` yields the Darboux pair of the regular k-partition for
+    k = 1, 2, 4, ...; at most _MAX_DOUBLINGS + 1 of them are pulled.  When
+    the cap is reached, or a bracket is no narrower than the one before
+    (point enclosures wider than the swing of f, or the rational-indicator
+    descriptor, whose pair never shrinks), the narrowest bracket seen is
+    returned Inconclusive.
     """
-    if f.poly_coeffs is not None:
-        swing = abs(f.value_at(v) - f.value_at(u))
-        k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
-        sums = _poly_monotone_darboux_regular(f.poly_coeffs, direction, u, v, k)
-        return IntegralResult(Enclosure(*sums), Status.CONVERGES, k)
+    best: Optional[IntegralResult] = None
+    for k, lower, upper, outer in islice(brackets, _MAX_DOUBLINGS + 1):
+        if upper - lower <= target:
+            return IntegralResult(Enclosure(lower, upper), Status.CONVERGES, k, outer)
+        if best is not None and upper - lower >= best.width():
+            break
+        best = IntegralResult(Enclosure(lower, upper), Status.INCONCLUSIVE, k, outer)
+    return best
+
+
+def _darboux_brackets(f: FnDescriptor, u: Fraction, v: Fraction, digits: int) -> Iterator[_Bracket]:
+    """`darboux` on the regular k-partition of [u, v], k = 1, 2, 4, ...
+    (range-rule, step and Lipschitz pieces, which never evaluate a point
+    twice)."""
+    k = 1
+    while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
+        pair = darboux(f, regular_partition(u, v, k), digits)
+        yield k, pair.lower, pair.upper, pair.outer
+        k *= 2
+
+
+def _poly_darboux(
+    f: FnDescriptor, u: Fraction, v: Fraction, direction: str, target: Fraction
+) -> IntegralResult:
+    """Closed-form Darboux sums of a polynomial monotone on [u, v], at the
+    k the (v-u)(f(v)-f(u))/k shrinkage law predicts for the target."""
+    swing = abs(f.value_at(v) - f.value_at(u))
+    k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
+    sums = _poly_monotone_darboux_regular(f.poly_coeffs, direction, u, v, k)
+    return IntegralResult(Enclosure(*sums), Status.CONVERGES, k)
+
+
+def _monotone_darboux(
+    f: FnDescriptor, u: Fraction, v: Fraction, direction: str, digits: int
+) -> Iterator[_Bracket]:
+    """Darboux pairs of the regular k-partitions of [u, v], where f is
+    monotone, for k = 1, 2, 4, ...
+
+    On cell [x_i, x_(i+1)] an increasing f has inf f(x_i) and sup
+    f(x_(i+1)), so L = h (f(u) + S) and U = h (S + f(v)), with S the sum
+    over the interior grid points (decreasing: u and v swap roles; a
+    constant f may take either).  Only the two end values and the two
+    running sums of S's lower and upper bounds are kept: the next pair
+    evaluates just the k new midpoints, so each point is evaluated once
+    and memory stays O(1) in k.  Both sums stay on the 10^-digits grid,
+    which keeps them at O(digits) bits whatever the oracle returns: a
+    point enclosure that is not exact is rounded outward before it
+    enters them, and a sum of exact values is rounded outward once its
+    denominator exceeds 10^digits.  `outer` is set once anything was
+    rounded.
+    """
     scale = 10**digits
-    exact = True
+    outer = False
 
     def bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-        nonlocal exact
+        nonlocal outer
         lo, hi = _raw_bounds(f, x, digits)
         if lo == hi:
             return lo, hi
-        exact = False
+        outer = True
         return _round_out(lo, hi, scale)
 
     u_lo, u_hi = bounds(u)
@@ -426,71 +467,18 @@ def _monotone_darboux(
     end_lo, end_hi = (v_lo, u_hi) if direction == "decreasing" else (u_lo, v_hi)
     sum_lo = sum_hi = Fraction(0)
     k = 1
-    best: Optional[IntegralResult] = None
-    for doubling in range(max_doublings + 1):
-        if doubling:
-            step = (v - u) / (2 * k)
-            for j in range(k):
-                lo, hi = bounds(u + (2 * j + 1) * step)
-                sum_lo += lo
-                sum_hi += hi
-            k *= 2
+    while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
         h = (v - u) / k
-        lower, upper = h * (end_lo + sum_lo), h * (end_hi + sum_hi)
-        if upper - lower <= target:
-            return IntegralResult(Enclosure(lower, upper), Status.CONVERGES, k, not exact)
-        if best is not None and upper - lower >= best.width():
-            break
-        best = IntegralResult(Enclosure(lower, upper), Status.INCONCLUSIVE, k, not exact)
-    return best
-
-
-def _integrate_piece(
-    f: FnDescriptor,
-    a: Fraction,
-    b: Fraction,
-    target: Fraction,
-    max_doublings: int,
-    digits: int,
-) -> IntegralResult:
-    """Darboux enclosure of one breakpoint-free piece [a, b], width <= target.
-
-    A monotone descriptor (no range rule, no step pieces) is cut once by
-    `monotone_split`, and each monotone piece [u, v] gets the share
-    target (v - u) / (b - a) and its own loop (`_monotone_darboux`:
-    closed-form sums for a polynomial, else running sums on a 10^-digits
-    grid).  Range-rule, step and Lipschitz descriptors double k with
-    `darboux`, which evaluates no point twice for them.
-    """
-    mono = None
-    if f.range_rule is None and f.step_pieces is None:
-        try:
-            mono = f.monotone_split(a, b)
-        except MissingMetadataError:
-            pass  # `darboux` below raises it again or uses a Lipschitz constant
-    if mono is not None:
-        return _sum_pieces([
-            _monotone_darboux(f, u, v, direction, target * (v - u) / (b - a), max_doublings, digits)
-            for u, v, direction in mono
-        ])
-
-    k = 1
-    best: Optional[DarbouxPair] = None
-    for _ in range(max_doublings + 1):
-        pair = darboux(f, regular_partition(a, b, k), digits)
-        if pair.width() <= target:
-            return IntegralResult(
-                Enclosure(pair.lower, pair.upper), Status.CONVERGES, k, pair.outer
-            )
-        if best is not None and pair.width() >= best.width():
-            # refinement is not shrinking the pair (the rational-indicator
-            # descriptor is the canonical case): report the stall honestly
-            break
-        best = pair
+        yield k, h * (end_lo + sum_lo), h * (end_hi + sum_hi), outer
+        step = (v - u) / (2 * k)
+        for j in range(k):
+            lo, hi = bounds(u + (2 * j + 1) * step)
+            sum_lo += lo
+            sum_hi += hi
+            if sum_lo.denominator > scale or sum_hi.denominator > scale:
+                sum_lo, sum_hi = _round_out(sum_lo, sum_hi, scale)
+                outer = True
         k *= 2
-    return IntegralResult(
-        Enclosure(best.lower, best.upper), Status.INCONCLUSIVE, max(1, k // 2), best.outer
-    )
 
 
 # --- improper integrals -----------------------------------------------------

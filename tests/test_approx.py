@@ -137,7 +137,6 @@ def test_gallery_bump_values():
     assert bump.enclosure_at(0, 10) == Enclosure.point(0)
     for x in (1, -1):
         assert bump.enclosure_at(F(x), 15).contains(exp_enclosure(-1, 20))
-    assert bump.smoothness == float("inf")
 
 
 def test_gallery_smooth_step():

@@ -61,8 +61,9 @@ def test_exit_code_contract(capsys):
         (0, ["rearrange", "alt-harmonic", "--pattern", "2,1", "--steps", "99"]),
         (1, ["converge", "mystery-family"]),
         (1, ["integrate", "poly:x^2", "4", "1"]),
+        (1, ["converge", "harmonic", "--horizon", "0"]),
     ]
-    assert len(matrix) == 15
+    assert len(matrix) == 16
     for expected, argv in matrix:
         code, _, _ = run(capsys, *argv)
         assert code == expected, argv

@@ -543,3 +543,101 @@ def test_integral_contains_mpmath(data):
     reference = F(-man if sign else man) * F(2) ** exp
     slack = F(1, 10**digits)
     assert result.enclosure.lo - slack <= reference <= result.enclosure.hi + slack
+
+
+_INV_SQUARE_EXACT = FnDescriptor(
+    name="1/x^2",
+    eval_rat=lambda x: 1 / (x * x),
+    monotone_pieces=((None, F(0), "increasing"), (F(0), None, "decreasing")),
+)
+
+
+def _bits(result):
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for x in (result.enclosure.lo, result.enclosure.hi))
+
+
+def test_integral_endpoints_have_digit_sized_bits():
+    # every result of the corpus has at most 8 d + 256 bits per endpoint,
+    # d = -floor(log10(width)); summing exact 1/x^2 values unrounded gave
+    # 5,875 bits at 1e-3 and 47,330 bits at 1e-4
+    from certreal.cli import resolve_function
+
+    wiggle = FnDescriptor(name="lip", eval_rat=lambda x: abs(x - F(1, 3)), lipschitz=F(1))
+    square = poly_descriptor([0, 0, 1]).with_meta(poly_coeffs=None, antiderivative=None)
+    corpus = [
+        (gallery("smooth_step", a=0, b=1), 0, 1, 2, {}),
+        (gallery("flat_bump"), -1, 1, 3, {}),
+        (gallery("unit_step"), F(-1, 2), F(7, 4), 3, {}),
+        (gallery("rational_indicator"), 0, 1, 3, {}),
+        (wiggle, 0, 1, 2, {}),
+        (square, 0, 1, 3, {}),
+        (PARABOLA, 0, 6, 6, {"method": "darboux"}),
+        (poly_descriptor([32, 1, 0, 0, 0, 1]), -2, 1, 4, {"method": "darboux"}),
+        (poly_descriptor([0, -3, 0, 1]), F(-3, 2), 2, 3, {"method": "darboux"}),
+        (STEP5, 0, 5, 1, {}),
+        (STEP5, 0, 5, 1, {"method": "darboux"}),
+        (resolve_function("x^-1"), 1, 4, 6, {}),
+        (resolve_function("x^1/2"), 0, 4, 6, {}),
+        (resolve_function("x^-2"), 1, 10, 6, {}),
+        (_INV_SQUARE_EXACT, 1, 2, 3, {}),
+        (_INV_SQUARE_EXACT, 1, 2, 4, {}),
+    ]
+    for f, a, b, d, options in corpus:
+        result = integrate_enclosure(f, a, b, F(1, 10**d), **options)
+        assert _bits(result) <= 8 * d + 256, (f.name, a, b, d, _bits(result))
+
+
+def test_exact_oracle_sums_round_outward_on_the_digit_grid():
+    result = integrate_enclosure(_INV_SQUARE_EXACT, 1, 2, F(1, 10**4))
+    assert result.status is Status.CONVERGES and result.subintervals == 8192
+    assert result.enclosure.contains(F(1, 2)) and result.width() <= F(1, 10**4)
+    assert result.outer  # the exact sums were rounded
+    # a sum whose denominator stays within 10^digits is kept exact
+    small = integrate_enclosure(_INV_SQUARE_EXACT, 1, 2, F(1, 2))
+    assert small.subintervals == 2 and not small.outer
+    assert small.enclosure == Enclosure(F(1, 2) * (F(1, 4) + F(4, 9)), F(1, 2) * (F(4, 9) + 1))
+
+
+def test_improper_trace_only_windows_have_digit_sized_bits():
+    # no antiderivative and no partner: eight trace-only windows, the last
+    # [-384, -3] at k = 65,536 exact values of 1/x^2
+    verdict = improper_integral(ImproperSpec(_INV_SQUARE_EXACT, None, F(-3)))
+    assert verdict.status is Status.INCONCLUSIVE
+    assert len(verdict.trace) == 8
+    for kind, (lo, hi), enclosure in verdict.trace:
+        assert kind == "window"
+        assert enclosure.contains(1 / F(lo) - 1 / F(hi)) and enclosure.width() <= F(1, 1000)
+        assert max(x.denominator.bit_length() for x in (enclosure.lo, enclosure.hi)) <= 8 * 3 + 256
+
+
+def test_darboux_method_on_step_pieces():
+    result = integrate_enclosure(STEP5, 0, 5, F(1, 10), method="darboux")
+    assert result.status is Status.CONVERGES
+    assert result.subintervals == 512
+    assert result.enclosure == Enclosure(F(3785, 512), F(3815, 512))
+    assert result.enclosure.contains(F(89, 12)) and not result.outer
+
+
+def test_integrate_method_is_auto_or_darboux():
+    for method in ("antiderivative", "step", "midpoint"):
+        with pytest.raises(ValueError, match="unknown method"):
+            integrate_enclosure(PARABOLA, 0, 6, F(1, 100), method=method)
+
+
+def test_refinement_pulls_no_bracket_past_the_cap():
+    from certreal.integration import _MAX_DOUBLINGS, _refine
+
+    pulled = []
+
+    def brackets():
+        k = 1
+        while True:
+            pulled.append(k)
+            yield k, F(0), F(1, k), False  # shrinks forever, never meets 0
+            k *= 2
+
+    result = _refine(brackets(), F(1, 2**40))
+    assert len(pulled) == _MAX_DOUBLINGS + 1 == 25
+    assert result.status is Status.INCONCLUSIVE and result.subintervals == 2**24
+    assert result.enclosure == Enclosure(F(0), F(1, 2**24))
