@@ -154,34 +154,47 @@ def resolve_function(spec: str) -> FnDescriptor:
 
 
 def _power_function(exponent: Fraction) -> FnDescriptor:
-    """x**exponent on (0, inf), with antiderivative and monotone metadata."""
-    if exponent == -1:
-        anti = FnDescriptor(
-            name="ln",
-            eval_enc=lambda x, d: powerseries.ln_enclosure(x, d),
+    """x**exponent with antiderivative and monotone metadata.
+
+    An integer power p is exact wherever it is defined (p < 0: away from
+    0), with monotone pieces on either side of 0 read off the parity of p
+    and the exact antiderivative x**(p+1)/(p+1) (ln x, on (0, inf), for
+    p = -1).  A non-integer power lives on [0, inf).
+    """
+    if exponent.denominator == 1:
+        p = int(exponent)
+        if p == -1:
+            anti = FnDescriptor(name="ln", eval_enc=lambda x, d: powerseries.ln_enclosure(x, d))
+        else:
+            n = p + 1
+            anti = FnDescriptor(name=f"x^{n}/{n}", eval_rat=lambda x: x**n / n)
+        # below 0, x^p rises iff p > 0 is odd or p < 0 is even (x^0 is constant)
+        left = "increasing" if (p > 0) == (p % 2 == 1) else "decreasing"
+        return FnDescriptor(
+            name=f"x^{p}",
+            eval_rat=lambda x: x**p,
+            monotone_pieces=(
+                (None, Fraction(0), left),
+                (Fraction(0), None, "increasing" if p > 0 else "decreasing"),
+            ),
+            antiderivative=anti,
         )
-    else:
-        next_e = exponent + 1
 
-        def anti_eval(x: Fraction, d: int) -> Enclosure:
-            return rational_power_enclosure(x, next_e, d).scale(1 / next_e)
+    next_e = exponent + 1
 
-        anti = FnDescriptor(name=f"x^{next_e}/{next_e}", eval_enc=anti_eval)
+    def anti_eval(x: Fraction, d: int) -> Enclosure:
+        return rational_power_enclosure(x, next_e, d).scale(1 / next_e)
 
     def eval_enc(x: Fraction, d: int) -> Enclosure:
         if x <= 0:
             raise ValueError("power functions here live on (0, inf)")
         return rational_power_enclosure(x, exponent, d)
 
-    eval_rat = None
-    if exponent.denominator == 1:
-        eval_rat = lambda x: x ** int(exponent)
     return FnDescriptor(
         name=f"x^{exponent}",
-        eval_rat=eval_rat,
         eval_enc=eval_enc,
         monotone="increasing" if exponent > 0 else "decreasing",
-        antiderivative=anti,
+        antiderivative=FnDescriptor(name=f"x^{next_e}/{next_e}", eval_enc=anti_eval),
     )
 
 
@@ -341,18 +354,23 @@ def cmd_integrate(args) -> tuple[Report, int]:
          "improper": bool(args.improper)},
     )
     power = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", args.fn)
-    if power and any(e == "-inf" or (e != "inf" and _fraction(e) < 0) for e in (args.a, args.b)):
+    exponent = _fraction(power.group(1)) if power else None
+    lo = None if args.a == "-inf" else _fraction(args.a)
+    hi = None if args.b == "inf" else _fraction(args.b)
+    below = lo is None or lo < 0
+    if power and below and (exponent.denominator != 1 or exponent == -1):
         raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
+    # an improper integral's finite end at 0 is a singular end, outside every window
+    at_zero = (below or (lo == 0 and not args.improper)) and (hi is None or hi >= 0)
+    if power and exponent.denominator == 1 and exponent < 0 and at_zero:
+        raise UsageError(f"{args.fn} is unbounded at 0; [{args.a}, {args.b}] contains 0")
     if args.improper:
-        lo = None if args.a == "-inf" else _fraction(args.a)
-        hi = None if args.b == "inf" else _fraction(args.b)
         comparisons = []
         if power:
-            exponent = _fraction(power.group(1))
-            if hi is None and -exponent > 1:
+            if (lo is None or hi is None) and -exponent > 1:
                 comparisons.append(
                     integration.Comparison("p_at_inf", p=-exponent, const=Fraction(1),
-                                           from_x=lo if lo is not None else Fraction(1))
+                                           from_x=lo if hi is None else -hi)
                 )
             if hi is None and -exponent <= 1:
                 comparisons.append(
@@ -367,7 +385,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
             f, lo, hi,
             singular_lo=(lo == 0 and args.fn.startswith("x^-")),
             comparisons=tuple(comparisons),
-            nonnegative=True,
+            # x^p >= 0 unless p is odd and the interval reaches below 0
+            nonnegative=power is not None and (exponent.numerator % 2 == 0 or not below),
         )
         verdict = integration.improper_integral(spec, width)
         report.status = verdict.status.value
@@ -597,12 +616,19 @@ _HANDLERS = {
 }
 
 
+_parser: Optional[_Parser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    global _parser
     # Exact rationals can exceed the default int->str conversion cap.
     sys.set_int_max_str_digits(2_000_000)
-    parser = build_parser()
+    if _parser is None:
+        # Built on the first call, not at import, and reused: parse_args
+        # keeps no state, and building costs about as much as a small query.
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         report, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -487,12 +487,12 @@ def _monotone_darboux(
 class Comparison:
     """Registered comparison partner for one improper end.
 
-    kinds: "p_at_inf" (|f(x)| <= C |x|^-p for |x| >= from_x, p > 1),
-    "exp_at_inf" (|f(x)| <= (const/p) * p * e^(-p |x|), i.e. rate p and
-    scale const, for |x| >= from_x),
-    "p_at_zero" (|f| <= C t^-p at distance t > 0 inward from the singular
+    kinds: "p_at_inf" (|f(x)| <= const |x|^-p for |x| >= from_x, p > 1),
+    "exp_at_inf" (|f(x)| <= const e^(-p |x|) for |x| >= from_x, p > 0; the
+    tail beyond T is then at most const/p e^(-p T)),
+    "p_at_zero" (|f| <= const t^-p at distance t > 0 inward from the singular
     endpoint, for small t, 0 < p < 1),
-    "minorant_p_at_inf" (f >= c |x|^-p >= 0 for |x| >= from_x, p <= 1:
+    "minorant_p_at_inf" (f >= const |x|^-p >= 0 for |x| >= from_x, p <= 1:
     a certified divergence witness).  The "_at_inf" kinds apply on
     whichever end is infinite.
     """
@@ -590,6 +590,16 @@ def improper_integral(
     side the infinite or singular end lies.  Without a partner the verdict
     is Inconclusive and the trace carries the partial integrals.  A
     registered minorant certifies divergence.
+
+    Each step bounds the part outside its window first: `rest`, the tail
+    and/or head bound, enters the enclosure as [0, rest] for a
+    nonnegative integrand and [-rest, rest] otherwise.  The core of the
+    window is integrated only when that partner interval is no wider than
+    the target, or at the last step.  A skipped window cannot stop the
+    loop: its enclosure core + partner is at least as wide as the partner,
+    which is wider than the target.  So the stopping window, the value and
+    the certificate are those of the full schedule, and the trace lists
+    only the windows whose core was integrated.
     """
     target = to_rational(target_width)
     digits = _digits_for(target, 4)
@@ -624,13 +634,20 @@ def improper_integral(
     big_t = _first_t(spec, max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2))
     eps = Fraction(1, 2)
     trace: list = []
-    for _ in range(max_steps):
-        lo, hi = _window(spec, big_t, eps)
-        core = integrate_enclosure(spec.integrand, lo, hi, target / 2, digits=digits)
+    for step in range(max_steps):
+        if step and unbounded:
+            big_t *= 2
+        if step and singular:
+            eps /= 2
         rest = tail_comp.tail_bound(big_t, digits) if unbounded else Fraction(0)
         if singular:
             rest += head_comp.head_bound(eps, digits)
-        enclosure = core.enclosure + Enclosure(Fraction(0) if spec.nonnegative else -rest, rest)
+        partner = Enclosure(Fraction(0) if spec.nonnegative else -rest, rest)
+        if partner.width() > target and step < max_steps - 1:
+            continue  # core + partner is wider than the target: this window cannot stop
+        lo, hi = _window(spec, big_t, eps)
+        core = integrate_enclosure(spec.integrand, lo, hi, target / 2, digits=digits)
+        enclosure = core.enclosure + partner
         trace.append(("window", (str(lo), str(hi)), enclosure))
         if core.status is Status.CONVERGES and enclosure.width() <= target:
             cert = ImproperCertificate(
@@ -643,10 +660,6 @@ def improper_integral(
                 asserted=("the comparison inequalities hold beyond the checked range",),
             )
             return Verdict(Status.CONVERGES, cert, enclosure, trace=tuple(trace))
-        if unbounded:
-            big_t *= 2
-        if singular:
-            eps /= 2
     return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
 
 

@@ -152,14 +152,39 @@ def test_improper_without_metadata_reports_error_item(capsys):
 
 
 def test_power_function_refuses_negative_intervals(capsys):
-    # x^p lives on [0, inf): an interval reaching below 0 is a usage error,
-    # not an internal "base must be positive" from deep inside the integral
-    for argv in (["x^-2", "--improper", "--", "-inf", "-1"], ["x^2", "-1", "1"],
-                 ["x^1/2", "-1", "1"]):
+    # a non-integer power and x^-1 live on [0, inf), and a negative integer
+    # power is unbounded at 0: a usage error, not an internal "base must be
+    # positive" or division by zero from deep inside the integral
+    for argv, reason in (
+        (["x^1/2", "-1", "1"], "lives on [0, inf)"),
+        (["x^-1/2", "--improper", "--", "-inf", "-1"], "lives on [0, inf)"),
+        (["x^-1", "-2", "-1"], "lives on [0, inf)"),
+        (["x^-2", "-1", "1"], "unbounded at 0"),
+        (["x^-3", "0", "1"], "unbounded at 0"),
+        (["x^-2", "--improper", "--", "-inf", "0"], "unbounded at 0"),
+    ):
         code, out, err = run(capsys, "integrate", *argv)
         assert code == 1 and out == ""
-        assert err.startswith("usage error: ") and "lives on [0, inf)" in err, argv
-        assert "reaches below 0" in err
+        assert err.startswith("usage error: ") and reason in err, argv
+
+
+def test_integer_powers_below_zero(capsys):
+    for argv, value, exact in (
+        (["x^-2", "--improper", "--", "-inf", "-1"], F(1), False),
+        # x^-3 < 0: the tail enters signed, as [-rest, rest]; a [0, rest]
+        # tail would exclude the value
+        (["x^-3", "--improper", "--", "-inf", "-1"], F(-1, 2), False),
+        # proper integrals take the exact antiderivative x^(p+1)/(p+1)
+        (["x^2", "-1", "1"], F(2, 3), True),
+        (["x^-3", "-2", "-1"], F(-3, 8), True),
+    ):
+        code, out, _ = run(capsys, "integrate", "--json", *argv)
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert payload["status"] == "Converges"
+        lo, hi = F(payload["enclosure"]["lo_exact"]), F(payload["enclosure"]["hi_exact"])
+        assert lo <= value <= hi and hi - lo <= F(1, 10**6), argv
+        assert (lo == hi) is exact, argv
 
 
 def test_negative_rational_endpoints_are_positionals(capsys):
@@ -184,3 +209,52 @@ def test_bump_from_its_flat_point_certifies(capsys):
     payload = json.loads(out)
     assert payload["status"] == "Converges"
     assert F(payload["enclosure"]["hi_exact"]) - F(payload["enclosure"]["lo_exact"]) <= F(1, 1000)
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    from certreal import cli
+
+    argvs = [
+        ["integrate", "--json", "poly:x^2", "1", "4", "--width", "1e-3"],
+        ["integrate", "poly:x^2", "1", "4", "--bogus"],
+        ["sample", "gallery:sawtooth:6", "--grid", "4", "--digits", "6"],
+        ["converge", "--json", "p-series", "--p", "2"],
+    ]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)  # each run builds its own parser
+        fresh.append(run(capsys, *argv))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert len(builds) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+
+
+def test_import_builds_no_parser():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import certreal
+
+    # count every ArgumentParser made while the module is imported
+    src = str(Path(certreal.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import certreal.cli\n"
+        "print(len(made), certreal.cli._parser)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "None"]

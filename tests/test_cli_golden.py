@@ -14,8 +14,13 @@ the sha256 of the result's repr.
 Regenerate the data file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --only "json integrate x^3 1 2" ...
+
+`--only` rewrites just the named keys and prints every other key whose
+output moved; it exits non-zero if one did, and then writes nothing.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -157,8 +162,27 @@ def test_library_result_matches_golden(name):
     assert _library_hash(name) == json.loads(DATA.read_text())["lib " + name]
 
 
-if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
+def _regenerate(only: list[str]) -> int:
     golden = {_key(argv, mode): capture(argv, mode) for argv, mode in CASES}
     golden.update({"lib " + name: _library_hash(name) for name in LIBRARY})
+    if only:
+        unknown = sorted(set(only) - set(golden))
+        if unknown:
+            print("unknown keys:", *unknown, sep="\n  ", file=sys.stderr)
+            return 2
+        stored = json.loads(DATA.read_text())
+        moved = sorted(k for k in golden if k not in only and stored.get(k) != golden[k])
+        if moved:
+            print("moved outside --only:", *moved, sep="\n  ", file=sys.stderr)
+            return 1
+        golden = {**stored, **{k: golden[k] for k in only}}
+    DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    cli = argparse.ArgumentParser(description="regenerate " + DATA.name)
+    cli.add_argument("--only", nargs="+", default=[], metavar="KEY",
+                     help="rewrite just these keys; fail if any other key moved")
+    sys.exit(_regenerate(cli.parse_args().only))

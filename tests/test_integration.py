@@ -182,7 +182,9 @@ def test_improper_p_integral_at_infinity():
     assert verdict.status is Status.CONVERGES
     assert verdict.value.contains(1)
     assert verdict.value.width() <= F(1, 10**6)
-    assert len(verdict.trace) > 1  # the expanding-horizon trace is kept
+    # T = 2^20 is the first T = 2, 4, ... with a tail bound 1/T <= 10^-6, and
+    # the only window whose core is integrated
+    assert [item[1] for item in verdict.trace] == [("1", "1048576")]
 
 
 def test_improper_inverse_sqrt_at_zero():
@@ -277,12 +279,16 @@ def test_improper_unbounded_below_windows():
         antiderivative=FnDescriptor(name="e^x", eval_enc=lambda x, d: exp_enclosure(x, d)),
     )
     partner = (Comparison("exp_at_inf", p=F(1), from_x=F(0)),)
-    for comparisons in (partner, ()):
-        verdict = improper_integral(ImproperSpec(growth, None, F(-1), comparisons=comparisons),
-                                    F(1, 100))
-        windows = [item[1] for item in verdict.trace]
-        assert windows[:3] == [("-2", "-1"), ("-4", "-1"), ("-8", "-1")]
-        assert all(hi == "-1" for _, hi in windows)
+    certified = improper_integral(ImproperSpec(growth, None, F(-1), comparisons=partner),
+                                  F(1, 100))
+    # a signed integrand: the tail enters as [-e^-T, e^-T], which first fits
+    # 1/100 at T = 8 (2 e^-4 > 1/25)
+    assert certified.status is Status.CONVERGES
+    assert [item[1] for item in certified.trace] == [("-8", "-1")]
+    traced = improper_integral(ImproperSpec(growth, None, F(-1)), F(1, 100))
+    windows = [item[1] for item in traced.trace]
+    assert windows[:3] == [("-2", "-1"), ("-4", "-1"), ("-8", "-1")]
+    assert all(hi == "-1" for _, hi in windows)
 
 
 def test_improper_rejects_ends_one_window_cannot_bound():
@@ -473,19 +479,22 @@ def test_improper_window_starts_at_the_finite_end(capsys):
     from certreal.cli import main
 
     partner = (Comparison("p_at_inf", p=F(2), const=F(1), from_x=F(1)),)
-    for lo, hi, value in ((F(10), None, F(1, 10)), (None, F(-3), F(1, 3))):
+    for lo, hi, value, window in ((F(10), None, F(1, 10), ("10", "160")),
+                                  (None, F(-3), F(1, 3), ("-192", "-3"))):
         end = str(lo if hi is None else hi)
         certified, traced = (
             improper_integral(ImproperSpec(_X_INV_SQUARE, lo, hi, comparisons=comparisons,
                                            nonnegative=True), F(1, 100))
             for comparisons in (partner, ())
         )
-        for verdict in (certified, traced):
-            # the first window is empty, then grows away from the finite end
-            assert verdict.trace[0][1] == (end, end)
-            assert all(F(a) <= F(b) for _, (a, b), _ in verdict.trace)
+        # the schedule starts at T = |end| (an empty window) and doubles;
+        # the tail bound 1/T first fits 1/100 at T = 160 and T = 192
+        assert [item[1] for item in certified.trace] == [window]
         assert certified.status is Status.CONVERGES
         assert certified.value.contains(value)
+        # the first window is empty, then grows away from the finite end
+        assert traced.trace[0][1] == (end, end)
+        assert all(F(a) <= F(b) for _, (a, b), _ in traced.trace)
         assert traced.status is Status.INCONCLUSIVE
     # the CLI ran into "need a <= b" (exit 1) here
     assert main(["integrate", "poly:x^2", "5", "inf", "--improper", "--json"]) == 2
@@ -641,3 +650,127 @@ def test_refinement_pulls_no_bracket_past_the_cap():
     assert len(pulled) == _MAX_DOUBLINGS + 1 == 25
     assert result.status is Status.INCONCLUSIVE and result.subintervals == 2**24
     assert result.enclosure == Enclosure(F(0), F(1, 2**24))
+
+
+def _full_schedule(spec, target, max_steps):
+    """The improper schedule as it ran before windows were skipped: the core
+    of every window is integrated.  Returns the verdict and, per step, the
+    width of the partner interval the bounds give."""
+    from certreal.core import Verdict
+    from certreal.integration import ImproperCertificate, _first_t, _window
+
+    digits = _digits_for(target, 4)
+    tail_comp = next((c for c in spec.comparisons if c.kind in ("p_at_inf", "exp_at_inf")), None)
+    head_comp = next((c for c in spec.comparisons if c.kind == "p_at_zero"), None)
+    unbounded = spec.lo is None or spec.hi is None
+    singular = spec.singular_lo or spec.singular_hi
+    big_t = _first_t(spec, max(F(2), tail_comp.from_x) if tail_comp else F(2))
+    eps = F(1, 2)
+    trace, widths = [], []
+    for _ in range(max_steps):
+        lo, hi = _window(spec, big_t, eps)
+        core = integrate_enclosure(spec.integrand, lo, hi, target / 2, digits=digits)
+        rest = tail_comp.tail_bound(big_t, digits) if unbounded else F(0)
+        if singular:
+            rest += head_comp.head_bound(eps, digits)
+        enclosure = core.enclosure + Enclosure(F(0) if spec.nonnegative else -rest, rest)
+        trace.append(("window", (str(lo), str(hi)), enclosure))
+        widths.append(rest if spec.nonnegative else 2 * rest)
+        if core.status is Status.CONVERGES and enclosure.width() <= target:
+            cert = ImproperCertificate(
+                "comparison_majorant",
+                {
+                    "tail": f"<= {tail_comp.const} * partner at T={big_t}" if unbounded else None,
+                    "head": f"<= head bound at eps={eps}" if singular else None,
+                    "core_method": core.method,
+                },
+                asserted=("the comparison inequalities hold beyond the checked range",),
+            )
+            return Verdict(Status.CONVERGES, cert, enclosure, trace=tuple(trace)), widths
+        if unbounded:
+            big_t *= 2
+        if singular:
+            eps /= 2
+    return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace)), widths
+
+
+def _exp_descriptor(sign):
+    """e^(sign x), monotone, with its antiderivative e^(sign x) / sign."""
+    from certreal.powerseries import exp_enclosure
+
+    return FnDescriptor(
+        name=f"e^({sign}x)",
+        eval_enc=lambda x, d: exp_enclosure(sign * x, d),
+        monotone="increasing" if sign > 0 else "decreasing",
+        antiderivative=FnDescriptor(
+            name="anti", eval_enc=lambda x, d: exp_enclosure(sign * x, d).scale(sign)),
+    )
+
+
+def _partnered_cases():
+    """(integrand, lo, hi, singular_lo, partner, integrand >= 0)."""
+    from certreal.cli import resolve_function
+
+    def at_inf(p, from_x):
+        return Comparison("p_at_inf", p=F(p), const=F(1), from_x=F(from_x))
+
+    def at_zero(p):
+        return Comparison("p_at_zero", p=F(p), const=F(1))
+
+    exp_tail = Comparison("exp_at_inf", p=F(1), const=F(1), from_x=F(0))
+    return [
+        (resolve_function("x^-2"), F(1), None, False, at_inf(2, 1), True),
+        (resolve_function("x^-3/2"), F(5, 2), None, False, at_inf(F(3, 2), F(5, 2)), True),
+        (resolve_function("x^-2"), None, F(-1, 2), False, at_inf(2, F(1, 2)), True),
+        (resolve_function("x^-3"), None, F(-1), False, at_inf(3, 1), False),
+        (resolve_function("x^-1/2"), F(0), F(7, 4), True, at_zero(F(1, 2)), True),
+        (resolve_function("x^-1/3"), F(0), F(1), True, at_zero(F(1, 3)), True),
+        (_exp_descriptor(-1), F(0), None, False, exp_tail, True),
+        (_exp_descriptor(1), None, F(1), False, exp_tail, True),
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=st.sampled_from(_partnered_cases()), exponent=st.integers(2, 8),
+       mantissa=st.integers(1, 9), claim_sign=st.booleans(), max_steps=st.sampled_from((3, 60)))
+def test_skipped_windows_leave_the_answer_unchanged(case, exponent, mantissa, claim_sign,
+                                                     max_steps):
+    """Against the full schedule: the same status, value and certificate,
+    and the trace is the full trace filtered by the skip rule."""
+    f, lo, hi, singular_lo, partner, nonnegative_f = case
+    spec = ImproperSpec(f, lo, hi, singular_lo=singular_lo, comparisons=(partner,),
+                        nonnegative=claim_sign and nonnegative_f)
+    target = F(mantissa, 10**exponent)
+    expected, widths = _full_schedule(spec, target, max_steps)
+    verdict = improper_integral(spec, target, max_steps)
+    assert verdict.status is expected.status
+    assert verdict.value == expected.value
+    assert verdict.certificate == expected.certificate
+    kept = tuple(item for step, (item, width) in enumerate(zip(expected.trace, widths))
+                 if width <= target or step == max_steps - 1)
+    assert verdict.trace == kept
+
+
+def test_improper_integrates_only_windows_that_can_certify(monkeypatch):
+    from certreal import integration
+    from certreal.cli import resolve_function
+
+    windows = []
+    integrate = integration.integrate_enclosure
+
+    def counted(f, a, b, *args, **kwargs):
+        windows.append((a, b))
+        return integrate(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(integration, "integrate_enclosure", counted)
+    spec = ImproperSpec(resolve_function("x^-1/2"), F(0), F(7, 4), singular_lo=True,
+                        comparisons=(Comparison("p_at_zero", p=F(1, 2), const=F(1)),),
+                        nonnegative=True)
+    verdict = improper_integral(spec, F(1, 10**6))
+    assert verdict.status is Status.CONVERGES
+    lo, hi = verdict.value.lo, verdict.value.hi
+    assert lo * lo <= 7 <= hi * hi  # the integral is 2 sqrt(7/4)
+    # the head bound 2 sqrt(eps) first fits 10^-6 at eps = 2^-42, the 42nd
+    # step: the full schedule integrated the core of all 42 windows
+    assert windows == [(F(1, 2**42), F(7, 4))]
+    assert [item[1] for item in verdict.trace] == [(str(F(1, 2**42)), "7/4")]
