@@ -372,7 +372,9 @@ def cmd_integrate(args) -> tuple[Report, int]:
                     integration.Comparison("p_at_inf", p=-exponent, const=Fraction(1),
                                            from_x=lo if hi is None else -hi)
                 )
-            if hi is None and -exponent <= 1:
+            # the minorant |x|^p bounds an infinite end; at a -inf end it needs
+            # x^p = |x|^p, which holds below 0 only for even p
+            if -exponent <= 1 and (hi is None or (lo is None and exponent.numerator % 2 == 0)):
                 comparisons.append(
                     integration.Comparison("minorant_p_at_inf", p=-exponent,
                                            const=Fraction(1), from_x=Fraction(1))

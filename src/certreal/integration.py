@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
@@ -148,6 +149,23 @@ def _interval_bounds_step(f: FnDescriptor, lo: Fraction, hi: Fraction):
     return min(values), max(values)
 
 
+def _bounds_kind(f: FnDescriptor) -> str:
+    """The metadata that gives f's Darboux bounds, the first registered of:
+    "range" rule, "step" pieces, "monotone" pieces, "lipschitz" constant."""
+    if f.range_rule is not None:
+        return "range"
+    if f.step_pieces is not None:
+        return "step"
+    if f.monotone_pieces is not None or f.monotone is not None:
+        return "monotone"
+    if f.lipschitz is not None:
+        return "lipschitz"
+    raise MissingMetadataError(
+        f"{f.name or 'function'}: need a range rule, step pieces, "
+        "monotone metadata, or a Lipschitz constant for Darboux bounds"
+    )
+
+
 def darboux(f: FnDescriptor, partition: Partition, digits: int = 30) -> DarbouxPair:
     """Darboux lower/upper sums from structural metadata.
 
@@ -156,31 +174,26 @@ def darboux(f: FnDescriptor, partition: Partition, digits: int = 30) -> DarbouxP
     flagged by `outer=True`.  A descriptor with no usable metadata is
     refused: certified paths never fall back to sampling.
     """
+    kind = _bounds_kind(f)
     lower = upper = Fraction(0)
     records: list[tuple[Fraction, Fraction]] = []
-    outer = False
+    outer = kind == "lipschitz"
     for lo, hi in partition.intervals():
         width = hi - lo
-        if f.range_rule is not None:
+        if kind == "range":
             m, big_m = f.range_rule(lo, hi)
-        elif f.step_pieces is not None:
+        elif kind == "step":
             m, big_m = _interval_bounds_step(f, lo, hi)
-        elif f.monotone_pieces is not None or f.monotone is not None:
+        elif kind == "monotone":
             m, big_m, exact = _interval_bounds_monotone(f, lo, hi, digits)
             outer = outer or not exact
-        elif f.lipschitz is not None:
+        else:
             mid_lo, mid_hi = _raw_bounds(f, (lo + hi) / 2, digits)
             # Snap outward to a shared decimal grid: still valid outer
             # bounds, and the exact fold over many intervals stays linear
             # (unrelated denominators would make it quadratic).
             half_swing = f.lipschitz * width / 2
             m, big_m = _round_out(mid_lo - half_swing, mid_hi + half_swing, 10**digits)
-            outer = True
-        else:
-            raise MissingMetadataError(
-                f"{f.name or 'function'}: need a range rule, step pieces, "
-                "monotone metadata, or a Lipschitz constant for Darboux bounds"
-            )
         records.append((m, big_m))
         lower += m * width
         upper += big_m * width
@@ -217,68 +230,6 @@ def riemann_sum(
     )
 
 
-# --- closed-form power sums (exact Darboux sums for polynomials) -----------
-
-def _power_sum(m: int, k: int) -> Fraction:
-    """Sum of i**m for i = 1..k, exactly, via the binomial recursion."""
-    if k <= 0:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(k)
-    from math import comb
-
-    # (k+1)^(m+1) - 1 = sum_{j=0..m} C(m+1, j) S_j(k)
-    total = Fraction((k + 1) ** (m + 1) - 1)
-    for j in range(m):
-        total -= comb(m + 1, j) * _power_sum(j, k)
-    return total / (m + 1)
-
-
-def _poly_sum_over_grid(
-    coeffs: tuple[Fraction, ...], a: Fraction, step: Fraction, i_lo: int, i_hi: int
-) -> Fraction:
-    """Exact sum of p(a + i*step) for i in [i_lo, i_hi] via power sums."""
-    from math import comb
-
-    if i_hi < i_lo:
-        return Fraction(0)
-    # expand p(a + s*i) = sum_t q_t i^t
-    q: dict[int, Fraction] = {}
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for t in range(j + 1):
-            q[t] = q.get(t, Fraction(0)) + c * comb(j, t) * a ** (j - t) * step**t
-    total = Fraction(0)
-    for t, coeff in q.items():
-        if t == 0:
-            s = Fraction(i_hi - i_lo + 1)
-        else:
-            s = _power_sum(t, i_hi) - _power_sum(t, i_lo - 1)
-        total += coeff * s
-    return total
-
-
-def _poly_monotone_darboux_regular(
-    coeffs: tuple[Fraction, ...],
-    direction: str,
-    a: Fraction,
-    b: Fraction,
-    k: int,
-) -> tuple[Fraction, Fraction]:
-    """(L, U) for a monotone polynomial on the regular k-partition of [a, b],
-    computed in closed form (no per-point iteration)."""
-    step = (b - a) / k
-    left_sum = _poly_sum_over_grid(coeffs, a, step, 0, k - 1)
-    right_sum = _poly_sum_over_grid(coeffs, a, step, 1, k)
-    if direction == "increasing":
-        return left_sum * step, right_sum * step
-    if direction == "decreasing":
-        return right_sum * step, left_sum * step
-    value = _poly_sum_over_grid(coeffs, a, step, 0, 0)  # constant piece
-    return value * step * k, value * step * k
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     enclosure: Enclosure
@@ -313,16 +264,16 @@ def integrate_enclosure(
     "auto" returns the exact integral of a step descriptor, or the
     difference of a registered antiderivative at the endpoints when that
     meets the target; otherwise, and always for "darboux", it takes
-    Darboux sums.  [a, b] is cut once, at the registered breakpoints and
-    then at the monotone-piece boundaries, and each piece [u, v] gets the
-    share target (v - u) / (b - a).  A monotone polynomial piece takes
-    closed-form power sums at the exactly predicted k; every other piece
-    doubles k in `_refine` until U - L meets its share, reading its
-    brackets from `_monotone_darboux` (running sums on the 10^-digits
-    grid, each point evaluated once) or, for range-rule, step and
-    Lipschitz descriptors, from `darboux`.  A piece that meets no target
-    within the doubling cap, or stops shrinking, makes the result
-    Inconclusive with its best pair.
+    Darboux sums from the metadata `_bounds_kind` picks.  [a, b] is cut
+    once, at the registered breakpoints and then at the monotone-piece
+    boundaries, and each piece [u, v] gets the share target (v - u) / (b - a).
+    A monotone polynomial piece takes exact forward-difference sums at the
+    predicted k; every other piece doubles k in `_refine` until U - L meets
+    its share, reading its brackets from `_running_darboux` (monotone and
+    Lipschitz pieces: running sums on the 10^-digits grid, each point
+    evaluated once) or, for range-rule and step pieces, from `darboux`.  A
+    piece that meets no target within the doubling cap, or stops
+    shrinking, makes the result Inconclusive with its best pair.
     """
     a, b, target = to_rational(a), to_rational(b), to_rational(target_width)
     if a == b:
@@ -348,23 +299,20 @@ def integrate_enclosure(
 
     cuts = _cut_points(a, b, f.breakpoints)
     prec = digits if digits is not None else _digits_for(target / (len(cuts) - 1), 6)
-    pieces: list[tuple[Fraction, Fraction, Optional[str]]] = []
-    monotone = f.range_rule is None and f.step_pieces is None
+    kind = _bounds_kind(f)
+    pieces: list[tuple[Fraction, Fraction, str]] = []
     for lo, hi in zip(cuts, cuts[1:]):
-        try:
-            pieces += f.monotone_split(lo, hi) if monotone else [(lo, hi, None)]
-        except MissingMetadataError:
-            pieces.append((lo, hi, None))  # `darboux` raises it again or uses a Lipschitz constant
+        pieces += f.monotone_split(lo, hi) if kind == "monotone" else [(lo, hi, kind)]
 
     total, converged, subintervals, outer = Enclosure.point(0), True, 0, False
-    for u, v, direction in pieces:
+    for u, v, kind in pieces:
         share = target * (v - u) / (b - a)
-        if direction is None:
+        if kind in ("range", "step"):
             piece = _refine(_darboux_brackets(f, u, v, prec), share)
-        elif f.poly_coeffs is not None:
-            piece = _poly_darboux(f, u, v, direction, share)
+        elif f.poly_coeffs is not None and kind != "lipschitz":
+            piece = _poly_darboux(f, u, v, kind, share)
         else:
-            piece = _refine(_monotone_darboux(f, u, v, direction, prec), share)
+            piece = _refine(_running_darboux(f, u, v, kind, prec), share)
         total = total + piece.enclosure
         converged = converged and piece.status is Status.CONVERGES
         subintervals += piece.subintervals
@@ -412,8 +360,7 @@ def _refine(brackets: Iterator[_Bracket], target: Fraction) -> IntegralResult:
 
 def _darboux_brackets(f: FnDescriptor, u: Fraction, v: Fraction, digits: int) -> Iterator[_Bracket]:
     """`darboux` on the regular k-partition of [u, v], k = 1, 2, 4, ...
-    (range-rule, step and Lipschitz pieces, which never evaluate a point
-    twice)."""
+    (range-rule and step pieces, which evaluate no point)."""
     k = 1
     while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
         pair = darboux(f, regular_partition(u, v, k), digits)
@@ -424,35 +371,56 @@ def _darboux_brackets(f: FnDescriptor, u: Fraction, v: Fraction, digits: int) ->
 def _poly_darboux(
     f: FnDescriptor, u: Fraction, v: Fraction, direction: str, target: Fraction
 ) -> IntegralResult:
-    """Closed-form Darboux sums of a polynomial monotone on [u, v], at the
-    k the (v-u)(f(v)-f(u))/k shrinkage law predicts for the target."""
-    swing = abs(f.value_at(v) - f.value_at(u))
+    """Exact Darboux sums of a polynomial p monotone on [u, v], at the k
+    the (v-u)(p(v)-p(u))/k shrinkage law predicts for the target.
+
+    Newton's formula p(u + ih) = sum_j C(i, j) D^j p(u), D the forward
+    difference of step h = (v-u)/k, sums to the left sum
+    sum_(i<k) p(u + ih) = sum_(j<=deg p) D^j p(u) C(k, j+1); the right sum
+    drops p(u) and adds p(v).
+    """
+    p_u, p_v = f.value_at(u), f.value_at(v)
+    swing = abs(p_v - p_u)
     k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
-    sums = _poly_monotone_darboux_regular(f.poly_coeffs, direction, u, v, k)
-    return IntegralResult(Enclosure(*sums), Status.CONVERGES, k)
+    h = (v - u) / k
+    diffs = [f.value_at(u + i * h) for i in range(len(f.poly_coeffs))]
+    left = Fraction(0)
+    for j in range(len(f.poly_coeffs)):
+        left += diffs[0] * comb(k, j + 1)
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    lower, upper = h * left, h * (left + p_v - p_u)
+    if direction == "decreasing":
+        lower, upper = upper, lower
+    return IntegralResult(Enclosure(lower, upper), Status.CONVERGES, k)
 
 
-def _monotone_darboux(
-    f: FnDescriptor, u: Fraction, v: Fraction, direction: str, digits: int
+def _running_darboux(
+    f: FnDescriptor, u: Fraction, v: Fraction, kind: str, digits: int
 ) -> Iterator[_Bracket]:
-    """Darboux pairs of the regular k-partitions of [u, v], where f is
-    monotone, for k = 1, 2, 4, ...
+    """Darboux pairs of the regular k-partitions of [u, v], k = 1, 2, 4, ...,
+    from point values, on a piece where f is monotone (`kind` is its
+    direction) or L-Lipschitz (`kind` is "lipschitz").
 
-    On cell [x_i, x_(i+1)] an increasing f has inf f(x_i) and sup
-    f(x_(i+1)), so L = h (f(u) + S) and U = h (S + f(v)), with S the sum
-    over the interior grid points (decreasing: u and v swap roles; a
-    constant f may take either).  Only the two end values and the two
-    running sums of S's lower and upper bounds are kept: the next pair
-    evaluates just the k new midpoints, so each point is evaluated once
-    and memory stays O(1) in k.  Both sums stay on the 10^-digits grid,
-    which keeps them at O(digits) bits whatever the oracle returns: a
-    point enclosure that is not exact is rounded outward before it
-    enters them, and a sum of exact values is rounded outward once its
-    denominator exceeds 10^digits.  `outer` is set once anything was
-    rounded.
+    With h = (v - u)/k and S the sum of f over the interior grid points,
+    an increasing f has inf f(x_i) and sup f(x_(i+1)) on [x_i, x_(i+1)],
+    so L = h (f(u) + S) and U = h (S + f(v)) (decreasing: u and v swap
+    roles; a constant f may take either).  An L-Lipschitz f has
+    f(t) >= f(x) - L (t - x) and f(t) >= f(x + h) - L (x + h - t) on
+    [x, x + h], whose mean is f(t) >= (f(x) + f(x + h))/2 - L h/2, and
+    likewise f(t) <= (f(x) + f(x + h))/2 + L h/2; summed over the cells,
+    the integral lies in h ((f(u) + f(v))/2 + S -+ L (v - u)/2), of width
+    L (v - u) h as for the midpoint rule, but on points the 2k-partition
+    reuses.  Only the two end values and the running sums of S's lower
+    and upper bounds are kept: the next pair evaluates just the k new
+    midpoints, so each point is evaluated once and memory stays O(1) in
+    k.  Both sums stay on the 10^-digits grid, at O(digits) bits whatever
+    the oracle returns: a point enclosure that is not exact is rounded
+    outward before it enters them, and a sum of exact values is rounded
+    outward once its denominator exceeds 10^digits.  `outer` is set for a
+    Lipschitz piece, and otherwise once anything was rounded.
     """
     scale = 10**digits
-    outer = False
+    outer = kind == "lipschitz"
 
     def bounds(x: Fraction) -> tuple[Fraction, Fraction]:
         nonlocal outer
@@ -464,12 +432,19 @@ def _monotone_darboux(
 
     u_lo, u_hi = bounds(u)
     v_lo, v_hi = bounds(v)
-    end_lo, end_hi = (v_lo, u_hi) if direction == "decreasing" else (u_lo, v_hi)
+    swing = Fraction(0)
+    if kind == "lipschitz":
+        end_lo, end_hi = (u_lo + v_lo) / 2, (u_hi + v_hi) / 2
+        swing = f.lipschitz * (v - u) / 2
+    elif kind == "decreasing":
+        end_lo, end_hi = v_lo, u_hi
+    else:
+        end_lo, end_hi = u_lo, v_hi
     sum_lo = sum_hi = Fraction(0)
     k = 1
     while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
         h = (v - u) / k
-        yield k, h * (end_lo + sum_lo), h * (end_hi + sum_hi), outer
+        yield k, h * (end_lo + sum_lo - swing), h * (end_hi + sum_hi + swing), outer
         step = (v - u) / (2 * k)
         for j in range(k):
             lo, hi = bounds(u + (2 * j + 1) * step)
@@ -611,12 +586,12 @@ def improper_integral(
         raise ValueError("a window bounds one finite singular end: split at a finite point first")
     for comp in spec.comparisons:
         if comp.kind == "minorant_p_at_inf":
-            if comp.p > 1:
-                raise ValueError("divergence minorant needs p <= 1")
+            if comp.p > 1 or (spec.lo is not None and spec.hi is not None):
+                raise ValueError("divergence minorant needs p <= 1 and an infinite end")
             cert = ImproperCertificate(
                 "comparison_minorant",
                 {
-                    "minorant": f"{comp.const} * x^-{comp.p} for x >= {comp.from_x}",
+                    "minorant": f"{comp.const} * x^{-comp.p} for |x| >= {comp.from_x}",
                     "reason": "integral of the minorant over [from_x, T) is unbounded in T",
                 },
                 asserted=("the minorant inequality holds beyond the checked range",),

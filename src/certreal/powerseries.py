@@ -35,7 +35,7 @@ __all__ = [
     "harmonic_number_enclosure",
     "euler_gamma_window",
     "ln_enclosure",
-    "make_series",
+    "make_power_series",
     "ode_recurrence_sin",
     "pi_enclosure",
     "remainder_enclosure",
@@ -501,7 +501,7 @@ def _dom_unit_coeff(r1: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(1), (r1 + 1) / 2
 
 
-def make_series(family: str, **params) -> PowerSeries:
+def make_power_series(family: str, **params) -> PowerSeries:
     """Registered power-series families (all centered at 0).
 
     exp; sin; cos; geometric (sum x^n, 1/(1-x)); log_neg (sum x^n/n,
@@ -738,7 +738,7 @@ def taylor_poly(
     else:
         if x0 != 0:
             raise ValueError(f"registered tag {tag!r} ships exact coefficients at 0 only")
-        series = make_series(tag)
+        series = make_power_series(tag)
         use = tuple(series.coeff(k) for k in range(order + 1))
         if deriv_bound is None:
             if tag == "exp":

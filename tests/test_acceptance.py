@@ -45,7 +45,7 @@ from certreal.powerseries import (
     constants,
     exp_enclosure,
     ln_enclosure,
-    make_series as make_power_series,
+    make_power_series,
     ode_recurrence_sin,
     pi_enclosure,
     remainder_enclosure,

@@ -187,6 +187,27 @@ def test_integer_powers_below_zero(capsys):
         assert (lo == hi) is exact, argv
 
 
+def test_even_power_to_minus_infinity_diverges(capsys):
+    # x^2 >= |x|^2 below 0 is a minorant for the -inf end; x^3 < 0 there,
+    # and a minorant needs f >= 0, so it stays undecided
+    code, out, _ = run(capsys, "integrate", "x^2", "--json", "--improper", "--", "-inf", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "Diverges"
+    assert payload["certificate"]["witnesses"]["minorant"] == "1 * x^2 for |x| >= 1"
+    code, out, _ = run(capsys, "integrate", "x^3", "--json", "--improper", "--", "-inf", "0")
+    assert code == 2 and json.loads(out)["status"] == "Inconclusive"
+    # a minorant bounds only an infinite end: with two finite ends an even
+    # power converges, at a regular or at a singular end 0 (whose head bound
+    # reaches 1e-6 only after more halvings than the schedule takes)
+    for argv, value in ((["x^2", "0", "1"], F(1, 3)), (["x^0", "0", "1"], F(1)),
+                        (["x^-2/3", "0", "1", "--width", "1e-3"], F(3))):
+        code, out, _ = run(capsys, "integrate", "--json", "--improper", *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "Converges", argv
+        lo, hi = F(payload["enclosure"]["lo_exact"]), F(payload["enclosure"]["hi_exact"])
+        assert lo <= value <= hi, argv
+
+
 def test_negative_rational_endpoints_are_positionals(capsys):
     for a in ("-1/4", "-0.25", "-25e-2", "-2.5E-1"):
         code, out, _ = run(capsys, "integrate", "poly:x^2", a, "1", "--json")

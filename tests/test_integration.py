@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from certreal.approx import gallery
 from certreal.core import (
@@ -314,6 +314,9 @@ def test_improper_divergence_by_minorant():
     verdict = improper_integral(spec)
     assert verdict.status is Status.DIVERGES
     assert "unbounded" in verdict.certificate.witnesses["reason"]
+    finite = ImproperSpec(f, F(0), F(1), comparisons=spec.comparisons)
+    with pytest.raises(ValueError, match="infinite end"):
+        improper_integral(finite)
 
 
 def test_improper_without_partner_inconclusive():
@@ -416,6 +419,24 @@ def test_darboux_doubling_evaluates_each_point_once():
     assert result.enclosure == integrate_enclosure(f, 0, 1, F(3, 500)).enclosure
 
 
+def test_lipschitz_refines_each_point_once():
+    # |x - 1/3| with L = 1: the running sums take the 129 points of the
+    # 128-partition once each, where `darboux` on every doubling evaluated
+    # the 1 + 2 + ... + 128 = 255 cell midpoints
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return abs(x - F(1, 3))
+
+    wiggle = FnDescriptor(name="lip", eval_rat=counted, lipschitz=F(1))
+    result = integrate_enclosure(wiggle, 0, 1, F(1, 100))
+    assert result.status is Status.CONVERGES
+    assert result.subintervals == 128
+    assert len(calls) == len(set(calls)) == 129
+    assert result.outer and result.enclosure.contains(F(5, 18))
+
+
 def test_tight_smoothstep_refines_each_point_once():
     # 1e-4 on [0, 1] needs k = 16384: the running sums evaluate the 16,385
     # grid points once each, where re-summing every doubling ran past 120 s
@@ -509,7 +530,7 @@ _ENDS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=64),
 
 
 def _mpmath_integral(mpmath, name, lo, hi, params):
-    if name == "flat_bump":
+    if name.startswith("flat_bump"):
         cuts = [F(0)]
 
         def f(x):
@@ -537,11 +558,16 @@ def test_integral_contains_mpmath(data):
     """mpmath.quad at twice the working digits, an independent reference,
     lies inside the Darboux enclosure, and the enclosure meets its width."""
     mpmath = pytest.importorskip("mpmath")
-    name = data.draw(st.sampled_from(["flat_bump", "smooth_step"]))
+    name = data.draw(st.sampled_from(["flat_bump", "flat_bump_lipschitz", "smooth_step"]))
     params = dict(zip("ab", data.draw(_ENDS))) if name == "smooth_step" else {}
     lo, hi = data.draw(_ENDS)
     target = F(1, data.draw(st.sampled_from([10, 100, 1000])))
-    result = integrate_enclosure(gallery(name, **params), lo, hi, target)
+    if name == "flat_bump_lipschitz":
+        # |f'(x)| = 2 e^(-1/x^2) / |x|^3 peaks at x^2 = 2/3, at 2 (3/2)^(3/2) e^(-3/2) < 0.82
+        f = gallery("flat_bump").with_meta(monotone_pieces=None, lipschitz=F(1))
+    else:
+        f = gallery(name, **params)
+    result = integrate_enclosure(f, lo, hi, target)
     assert result.status is Status.CONVERGES
     assert result.width() <= target
     digits = 2 * _digits_for(target, 6)
@@ -552,6 +578,26 @@ def test_integral_contains_mpmath(data):
     reference = F(-man if sign else man) * F(2) ** exp
     slack = F(1, 10**digits)
     assert result.enclosure.lo - slack <= reference <= result.enclosure.hi + slack
+
+
+@settings(deadline=None, max_examples=60)
+@given(coeffs=st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=4),
+       ends=_ENDS, m=st.integers(1, 255))
+def test_polynomial_darboux_sums_are_plain_sums(coeffs, ends, m):
+    """The forward-difference sums of a monotone polynomial piece equal h
+    times its per-point left and right sums on the regular k-partition."""
+    f = poly_descriptor(coeffs)
+    assume(f.monotone_pieces is not None)
+    for u, v, _ in f.monotone_split(*ends):
+        swing = abs(f.value_at(v) - f.value_at(u))
+        target = swing * (v - u) / m if swing else F(1)  # k = m + 1, or 1
+        result = integrate_enclosure(f, u, v, target, method="darboux")
+        k = result.subintervals
+        assert 1 <= k <= 256
+        h = (v - u) / k
+        left = h * sum(f.value_at(u + i * h) for i in range(k))
+        right = h * sum(f.value_at(u + i * h) for i in range(1, k + 1))
+        assert result.enclosure == Enclosure(min(left, right), max(left, right))
 
 
 _INV_SQUARE_EXACT = FnDescriptor(

@@ -15,7 +15,7 @@ from certreal.powerseries import (
     exp_enclosure,
     harmonic_number_enclosure,
     ln_enclosure,
-    make_series,
+    make_power_series,
     ode_recurrence_sin,
     pi_enclosure,
     radius,
@@ -26,33 +26,33 @@ from certreal.powerseries import (
 
 
 def test_radius_closed_forms():
-    assert radius(make_series("exp"), "closed_form").kind == "infinite"
-    assert radius(make_series("factorial"), "closed_form").kind == "zero"
-    p2 = radius(make_series("p2"), "closed_form")
+    assert radius(make_power_series("exp"), "closed_form").kind == "infinite"
+    assert radius(make_power_series("factorial"), "closed_form").kind == "zero"
+    p2 = radius(make_power_series("p2"), "closed_form")
     assert p2.value == 1
     assert p2.left_endpoint == p2.right_endpoint == "converges"
-    geo = radius(make_series("geometric"), "closed_form")
+    geo = radius(make_power_series("geometric"), "closed_form")
     assert geo.value == 1 and geo.right_endpoint == "diverges"
 
 
 def test_radius_ratio_window():
-    window = radius(make_series("geometric"), "ratio_window", 64).window
+    window = radius(make_power_series("geometric"), "ratio_window", 64).window
     assert window == Enclosure(1, 1)
-    exp_window = radius(make_series("exp"), "ratio_window", 64).window
+    exp_window = radius(make_power_series("exp"), "ratio_window", 64).window
     assert exp_window.lo >= 33  # reciprocals of 1/(n+1) over the scan
     with pytest.raises(ValueError, match="closed_form"):
-        radius(make_series("sin"), "ratio_window", 32)
+        radius(make_power_series("sin"), "ratio_window", 32)
 
 
 def test_derived_series_radius_preserved():
     for family in ("geometric", "log_neg", "p2", "exp", "sin", "cos"):
-        base = make_series(family)
+        base = make_power_series(family)
         assert base.derive().radius_info == base.radius_info
         assert base.integrate_termwise().radius_info == base.radius_info
 
 
 def test_eval_with_tail_geometric():
-    geo = make_series("geometric")
+    geo = make_power_series("geometric")
     enc = geo.eval_with_tail(F(1, 2), 20)
     assert enc.contains(2)
     nested = geo.eval_with_tail(F(1, 2), 40)
@@ -61,12 +61,12 @@ def test_eval_with_tail_geometric():
 
 
 def test_eval_with_tail_exp_at_zero():
-    assert make_series("exp").eval_with_tail(0, 5) == Enclosure.point(1)
+    assert make_power_series("exp").eval_with_tail(0, 5) == Enclosure.point(1)
 
 
 def test_eval_with_tail_derived_geometric():
     # derivative of the geometric series has coefficients n+1: 1/(1-x)^2
-    derived = make_series("geometric").derive()
+    derived = make_power_series("geometric").derive()
     enc = derived.eval_with_tail(F(1, 2), 60)
     assert enc.contains(4)
 
@@ -79,17 +79,17 @@ def test_eval_requires_domination():
 
 
 def test_derive_and_integrate_coefficients():
-    geo = make_series("geometric")
+    geo = make_power_series("geometric")
     derived = geo.derive()
     assert derived.coeffs(5) == [n + 1 for n in range(6)]
     log_series = geo.integrate_termwise()
     assert log_series.coeffs(5) == [0] + [F(1, n) for n in range(1, 6)]
-    zero = make_series("polynomial", coeffs=[F(3)]).derive()
+    zero = make_power_series("polynomial", coeffs=[F(3)]).derive()
     assert zero.coeffs(4) == [0] * 5
 
 
 def test_cauchy_product_exp_sin():
-    exp_ps, sin_ps = make_series("exp"), make_series("sin")
+    exp_ps, sin_ps = make_power_series("exp"), make_power_series("sin")
     product = exp_ps.cauchy_product(sin_ps)
     assert product.coeffs(5) == [0, 1, 1, F(1, 3), 0, F(-1, 30)]
     assert product.radius_info.kind == "infinite"
@@ -97,13 +97,13 @@ def test_cauchy_product_exp_sin():
 
 
 def test_cauchy_product_with_zero():
-    anything = make_series("exp")
-    zero = make_series("zero")
+    anything = make_power_series("exp")
+    zero = make_power_series("zero")
     assert anything.cauchy_product(zero).coeffs(6) == [0] * 7
 
 
 def test_cauchy_product_geometric_squared():
-    geo = make_series("geometric")
+    geo = make_power_series("geometric")
     squared = geo.cauchy_product(geo)
     upto = 12
     brute = [
@@ -113,7 +113,7 @@ def test_cauchy_product_geometric_squared():
 
 
 def test_cauchy_product_bilinear_commutative():
-    a, b = make_series("exp"), make_series("sin")
+    a, b = make_power_series("exp"), make_power_series("sin")
     ab, ba = a.cauchy_product(b), b.cauchy_product(a)
     assert ab.coeffs(9) == ba.coeffs(9)
     scaled = a.scale(F(3, 2)).cauchy_product(b)
@@ -177,7 +177,7 @@ def test_taylor_poly_tag_recentre():
 def test_taylor_matches_derivatives_at_center():
     # T_n^(k)(x0) = f^(k)(x0): coefficients k! c_k match the series
     approximation = taylor_poly("exp", 0, 8, radius=2)
-    series = make_series("exp")
+    series = make_power_series("exp")
     for k in range(9):
         assert approximation.coeffs[k] == series.coeff(k)
 
