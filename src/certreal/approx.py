@@ -248,7 +248,8 @@ def gallery(name: str, **params) -> FnDescriptor:
     only (range rule m=0, M=1 on every nondegenerate interval).
     unit_step: 0 for x < 0, 1 for x >= 0.  flat_bump: exp(-1/x^2), 0 at 0.
     smooth_step(a, b): 0 left of a, 1 right of b, smooth and increasing.
-    sawtooth(levels): truncated nowhere-differentiable sum.
+    sawtooth(levels): truncated nowhere-differentiable sum, with its exact
+    antiderivative and Lipschitz constant levels + 1.
     """
     if name == "rational_indicator":
         return FnDescriptor(
@@ -316,6 +317,11 @@ def gallery(name: str, **params) -> FnDescriptor:
             name=f"sawtooth[{levels}]",
             eval_rat=lambda x: series.partial_value(x, levels),
             bound=Fraction(4, 3),
+            lipschitz=levels + 1,  # each layer has slope +-1
+            antiderivative=FnDescriptor(
+                name=f"integral of sawtooth[{levels}] from 0",
+                eval_rat=series.partial_area,
+            ),
         )
     raise ValueError(f"unknown gallery function {name!r}")
 
@@ -346,12 +352,23 @@ class SawtoothSeries:
         t = x % (2 * m)
         return t if t <= m else 2 * m - t
 
+    def layer_area(self, n: int, x: RationalLike) -> Fraction:
+        """Exact integral of layer n over [0, x] (signed for x < 0): m^2
+        per whole period 2m, plus the area of the partial triangle."""
+        m = self.scale(n)
+        periods, t = divmod(to_rational(x), 2 * m)
+        return periods * m * m + (t * t / 2 if t <= m else m * m - (2 * m - t) ** 2 / 2)
+
     def partial_value(self, x: RationalLike, upto: Optional[int] = None) -> Fraction:
         upto = self.level_cap if upto is None else upto
         if upto > self.level_cap:
             raise IndexError("level beyond cap")
         x = to_rational(x)
         return sum((self.layer_value(n, x) for n in range(upto + 1)), Fraction(0))
+
+    def partial_area(self, x: RationalLike) -> Fraction:
+        """Exact integral of the partial sum through the cap over [0, x]."""
+        return sum((self.layer_area(n, x) for n in range(self.level_cap + 1)), Fraction(0))
 
     @staticmethod
     def truncation_error(level: int) -> Fraction:

@@ -383,6 +383,12 @@ def cmd_integrate(args) -> tuple[Report, int]:
                 comparisons.append(
                     integration.Comparison("p_at_zero", p=-exponent, const=Fraction(1))
                 )
+            # the singular end 0 of a nonempty [0, hi]: there x^p = t^p > 0
+            if lo == 0 and (hi is None or hi > 0) and -exponent >= 1:
+                comparisons.append(
+                    integration.Comparison("minorant_p_at_zero", p=-exponent,
+                                           const=Fraction(1))
+                )
         spec = integration.ImproperSpec(
             f, lo, hi,
             singular_lo=(lo == 0 and args.fn.startswith("x^-")),

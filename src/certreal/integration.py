@@ -10,6 +10,7 @@ registered range rule gives the honest pair L = 0, U = 1 forever.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -468,8 +469,10 @@ class Comparison:
     "p_at_zero" (|f| <= const t^-p at distance t > 0 inward from the singular
     endpoint, for small t, 0 < p < 1),
     "minorant_p_at_inf" (f >= const |x|^-p >= 0 for |x| >= from_x, p <= 1:
-    a certified divergence witness).  The "_at_inf" kinds apply on
-    whichever end is infinite.
+    a certified divergence witness), "minorant_p_at_zero" (f >= const t^-p
+    >= 0 at distance t > 0 inward from the singular endpoint, for small t,
+    p >= 1: likewise).  The "_at_inf" kinds apply on whichever end is
+    infinite, the "_at_zero" kinds on whichever end is singular.
     """
 
     kind: str
@@ -552,6 +555,20 @@ def _first_t(spec: ImproperSpec, big_t: Fraction) -> Fraction:
     return big_t
 
 
+def _bound_exceeds(comp: Comparison, at: Fraction, thr: Fraction) -> bool:
+    """Whether the true tail bound beyond T = at ("p_at_inf") or head bound
+    within eps = at ("p_at_zero"), c at^e / |e| with e = 1 - p, exceeds
+    thr, decided in integers: with y = thr |e| / c and e = -a/b, at^e > y
+    iff 1 > y^b at^a; with e = a/b, iff at^a > y^b.  False for any other
+    kind, p or const, which have no such test."""
+    if not ((comp.kind == "p_at_inf" and comp.p > 1)
+            or (comp.kind == "p_at_zero" and 0 < comp.p < 1)) or comp.const <= 0:
+        return False
+    e = 1 - comp.p
+    y, a, b = thr * abs(e) / comp.const, abs(e.numerator), e.denominator
+    return 1 > y**b * at**a if e < 0 else at**a > y**b
+
+
 def improper_integral(
     spec: ImproperSpec,
     target_width: RationalLike = Fraction(1, 10**6),
@@ -564,17 +581,28 @@ def improper_integral(
     `integrate_enclosure` on the window `_window` cuts out, on whichever
     side the infinite or singular end lies.  Without a partner the verdict
     is Inconclusive and the trace carries the partial integrals.  A
-    registered minorant certifies divergence.
+    registered minorant ("minorant_p_at_inf" at an infinite end,
+    "minorant_p_at_zero" at a singular end) certifies divergence.
 
-    Each step bounds the part outside its window first: `rest`, the tail
-    and/or head bound, enters the enclosure as [0, rest] for a
-    nonnegative integrand and [-rest, rest] otherwise.  The core of the
-    window is integrated only when that partner interval is no wider than
-    the target, or at the last step.  A skipped window cannot stop the
-    loop: its enclosure core + partner is at least as wide as the partner,
-    which is wider than the target.  So the stopping window, the value and
-    the certificate are those of the full schedule, and the trace lists
-    only the windows whose core was integrated.
+    Step j of the schedule has T = T_0 2^j and eps = 2^-(j+1), and bounds
+    the part outside its window first: `rest`, the tail and/or head bound,
+    enters the enclosure as [0, rest] for a nonnegative integrand and
+    [-rest, rest] otherwise.  The core of the window is integrated only
+    when that partner interval is no wider than the target, or at the last
+    step.  A skipped window cannot stop the loop: its enclosure core +
+    partner is at least as wide as the partner, which is wider than the
+    target.  So the stopping window, the value and the certificate are
+    those of the full schedule, and the trace lists only the windows whose
+    core was integrated.
+
+    The loop starts at the first step that can certify, found by bisection
+    without rounding: the true power-law bound falls strictly in j, and
+    `_bound_exceeds` compares it exactly with the part of the target the
+    partner may take (all of it when nonnegative, half otherwise).  The
+    computed `rest` is never below the true bound, so every step the search
+    passes over is one the loop would skip; the answer and the trace are
+    unchanged.  An "exp_at_inf" partner has no exact test, and its loop
+    starts at step 0.
     """
     target = to_rational(target_width)
     digits = _digits_for(target, 4)
@@ -584,36 +612,45 @@ def improper_integral(
         spec.singular_hi and spec.hi is None
     ):
         raise ValueError("a window bounds one finite singular end: split at a finite point first")
+    unbounded = spec.lo is None or spec.hi is None
+    singular = spec.singular_lo or spec.singular_hi
     for comp in spec.comparisons:
         if comp.kind == "minorant_p_at_inf":
-            if comp.p > 1 or (spec.lo is not None and spec.hi is not None):
+            if comp.p > 1 or not unbounded:
                 raise ValueError("divergence minorant needs p <= 1 and an infinite end")
-            cert = ImproperCertificate(
-                "comparison_minorant",
-                {
-                    "minorant": f"{comp.const} * x^{-comp.p} for |x| >= {comp.from_x}",
-                    "reason": "integral of the minorant over [from_x, T) is unbounded in T",
-                },
-                asserted=("the minorant inequality holds beyond the checked range",),
-            )
-            return Verdict(Status.DIVERGES, cert)
+            minorant = f"{comp.const} * x^{-comp.p} for |x| >= {comp.from_x}"
+            reason = "integral of the minorant over [from_x, T) is unbounded in T"
+        elif comp.kind == "minorant_p_at_zero":
+            if comp.p < 1 or not singular:
+                raise ValueError("divergence minorant needs p >= 1 and a singular end")
+            minorant = f"{comp.const} * t^{-comp.p} at distance t from the singular end"
+            reason = "integral of the minorant over [eps, 1] is unbounded as eps -> 0"
+        else:
+            continue
+        cert = ImproperCertificate(
+            "comparison_minorant",
+            {"minorant": minorant, "reason": reason},
+            asserted=("the minorant inequality holds beyond the checked range",),
+        )
+        return Verdict(Status.DIVERGES, cert)
 
     tail_comp = next((c for c in spec.comparisons if c.kind in ("p_at_inf", "exp_at_inf")), None)
     head_comp = next((c for c in spec.comparisons if c.kind == "p_at_zero"), None)
-
-    unbounded = spec.lo is None or spec.hi is None
-    singular = spec.singular_lo or spec.singular_hi
     if (unbounded and tail_comp is None) or (singular and head_comp is None):
         return _improper_trace_only(spec, max_steps, digits)
 
-    big_t = _first_t(spec, max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2))
-    eps = Fraction(1, 2)
+    first_t = _first_t(spec, max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2))
+    thr = target if spec.nonnegative else target / 2
+
+    def too_wide(step: int) -> bool:  # the true partner bound alone is wider than thr
+        return (unbounded and _bound_exceeds(tail_comp, first_t * 2**step, thr)) or (
+            singular and _bound_exceeds(head_comp, Fraction(1, 2 ** (step + 1)), thr)
+        )
+
+    first = bisect_left(range(max_steps - 1), True, key=lambda step: not too_wide(step))
     trace: list = []
-    for step in range(max_steps):
-        if step and unbounded:
-            big_t *= 2
-        if step and singular:
-            eps /= 2
+    for step in range(first, max_steps):
+        big_t, eps = first_t * 2**step, Fraction(1, 2 ** (step + 1))
         rest = tail_comp.tail_bound(big_t, digits) if unbounded else Fraction(0)
         if singular:
             rest += head_comp.head_bound(eps, digits)

@@ -166,6 +166,21 @@ def test_sawtooth_descriptor():
     f = gallery("sawtooth", levels=6)
     total = sum(SawtoothSeries(6).layer_value(n, F(1, 5)) for n in range(7))
     assert f.value_at(F(1, 5)) == total
+    assert f.lipschitz == 7
+
+
+def test_sawtooth_antiderivative_matches_the_trapezoid_rule():
+    # the level-3 partial sum is linear between the points of the 1/64 grid
+    # and at the end points, so the trapezoid rule on them is exact
+    f = gallery("sawtooth", levels=3)
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b = sorted(F(rng.randrange(-300, 300), rng.choice((64, 100, 7))) for _ in range(2))
+        points = [a] + [F(i, 64) for i in range(math.floor(a * 64), math.ceil(b * 64))
+                        if a < F(i, 64) < b] + [b]
+        trapezoid = sum((q - p) * (f.value_at(p) + f.value_at(q)) / 2
+                        for p, q in zip(points, points[1:]))
+        assert f.antiderivative.value_at(b) - f.antiderivative.value_at(a) == trapezoid
 
 
 def test_nowhere_diff_quotients_level_zero():

@@ -139,16 +139,49 @@ def test_usage_error_message(capsys):
 
 
 def test_improper_without_metadata_reports_error_item(capsys):
-    # the first window of the trace-only schedule has no Darboux metadata;
-    # its ("error", message) trace item is rendered, not unpacked as a window
-    code, out, _ = run(capsys, "integrate", "gallery:sawtooth:8", "0", "inf", "--improper",
+    # the step pieces of step5 cover [0, 5] only, so the first window
+    # [-1, 2] of the trace-only schedule has no metadata; its ("error",
+    # message) trace item is rendered, not unpacked as a window
+    code, out, _ = run(capsys, "integrate", "gallery:step5", "-1", "inf", "--improper",
                        "--json")
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "Inconclusive"
     assert payload["enclosure"] is None
     assert len(payload["trace"]) == 1
-    assert "Darboux bounds" in payload["trace"][0]["error"]
+    assert "do not cover [-1, 2]" in payload["trace"][0]["error"]
+
+
+def test_sawtooth_integral_is_certified(capsys):
+    # the exact antiderivative: layer n adds 4^-n / 2 over [0, 1]
+    code, out, _ = run(capsys, "integrate", "gallery:sawtooth:8", "0", "1", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "Converges"
+    value = sum(F(1, 2 * 4**n) for n in range(9))
+    assert payload["enclosure"]["lo_exact"] == payload["enclosure"]["hi_exact"] == str(value)
+    # without a partner the improper form reports its trace-only windows
+    code, out, _ = run(capsys, "integrate", "gallery:sawtooth:8", "0", "inf", "--improper",
+                       "--json")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "Inconclusive"
+    assert [item["window"] for item in payload["trace"]] == [
+        ["0", str(2**j)] for j in range(1, 9)
+    ]
+
+
+def test_power_singular_at_zero_diverges(capsys):
+    # x^p >= t^p on (0, 1] with p <= -1: a head minorant whose integral is
+    # unbounded; p = -1/2 still converges, and [0, 0] stays an error
+    for fn in ("x^-2", "x^-1", "x^-3/2"):
+        code, out, _ = run(capsys, "integrate", fn, "0", "1", "--improper", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "Diverges", fn
+        assert payload["certificate"]["test"] == "comparison_minorant"
+        assert payload["trace"] == []
+    code, out, _ = run(capsys, "integrate", "x^-1/2", "0", "1", "--improper", "--json")
+    assert code == 0 and json.loads(out)["status"] == "Converges"
+    code, _, err = run(capsys, "integrate", "x^-2", "0", "0", "--improper")
+    assert code == 1 and "need a <= b" in err
 
 
 def test_power_function_refuses_negative_intervals(capsys):

@@ -753,26 +753,50 @@ def _exp_descriptor(sign):
     )
 
 
+def _head_and_tail_descriptor():
+    """x^-2 on (-inf, -1] and |x|^-1/2 on (-1, 0): increasing, with both an
+    infinite and a singular end; the integral over (-inf, 0) is 1 + 2."""
+    half = F(1, 2)
+
+    def anti(x, d):
+        if x <= -1:
+            return Enclosure.point(-1 / x)
+        return 3 - rational_power_enclosure(-x, half, d).scale(2)
+
+    return FnDescriptor(
+        name="x^-2 | |x|^-1/2",
+        eval_enc=lambda x, d: (Enclosure.point(1 / (x * x)) if x <= -1
+                               else rational_power_enclosure(-x, -half, d)),
+        monotone="increasing",
+        antiderivative=FnDescriptor(name="anti", eval_enc=anti),
+    )
+
+
 def _partnered_cases():
-    """(integrand, lo, hi, singular_lo, partner, integrand >= 0)."""
+    """(integrand, lo, hi, singular_lo, singular_hi, partners, integrand >= 0)."""
     from certreal.cli import resolve_function
 
-    def at_inf(p, from_x):
-        return Comparison("p_at_inf", p=F(p), const=F(1), from_x=F(from_x))
+    def at_inf(p, from_x, const=1):
+        return Comparison("p_at_inf", p=F(p), const=F(const), from_x=F(from_x))
 
     def at_zero(p):
         return Comparison("p_at_zero", p=F(p), const=F(1))
 
     exp_tail = Comparison("exp_at_inf", p=F(1), const=F(1), from_x=F(0))
     return [
-        (resolve_function("x^-2"), F(1), None, False, at_inf(2, 1), True),
-        (resolve_function("x^-3/2"), F(5, 2), None, False, at_inf(F(3, 2), F(5, 2)), True),
-        (resolve_function("x^-2"), None, F(-1, 2), False, at_inf(2, F(1, 2)), True),
-        (resolve_function("x^-3"), None, F(-1), False, at_inf(3, 1), False),
-        (resolve_function("x^-1/2"), F(0), F(7, 4), True, at_zero(F(1, 2)), True),
-        (resolve_function("x^-1/3"), F(0), F(1), True, at_zero(F(1, 3)), True),
-        (_exp_descriptor(-1), F(0), None, False, exp_tail, True),
-        (_exp_descriptor(1), None, F(1), False, exp_tail, True),
+        (resolve_function("x^-2"), F(1), None, False, False, (at_inf(2, 1),), True),
+        (resolve_function("x^-3/2"), F(5, 2), None, False, False,
+         (at_inf(F(3, 2), F(5, 2)),), True),
+        (resolve_function("x^-5/4"), F(1), None, False, False, (at_inf(F(5, 4), 1),), True),
+        (resolve_function("x^-3"), F(1), None, False, False, (at_inf(2, 1, F(5, 2)),), True),
+        (resolve_function("x^-2"), None, F(-1, 2), False, False, (at_inf(2, F(1, 2)),), True),
+        (resolve_function("x^-3"), None, F(-1), False, False, (at_inf(3, 1),), False),
+        (resolve_function("x^-1/2"), F(0), F(7, 4), True, False, (at_zero(F(1, 2)),), True),
+        (resolve_function("x^-1/3"), F(0), F(1), True, False, (at_zero(F(1, 3)),), True),
+        (_head_and_tail_descriptor(), None, F(0), False, True,
+         (at_inf(2, 1), at_zero(F(1, 2))), True),
+        (_exp_descriptor(-1), F(0), None, False, False, (exp_tail,), True),
+        (_exp_descriptor(1), None, F(1), False, False, (exp_tail,), True),
     ]
 
 
@@ -783,9 +807,9 @@ def test_skipped_windows_leave_the_answer_unchanged(case, exponent, mantissa, cl
                                                      max_steps):
     """Against the full schedule: the same status, value and certificate,
     and the trace is the full trace filtered by the skip rule."""
-    f, lo, hi, singular_lo, partner, nonnegative_f = case
-    spec = ImproperSpec(f, lo, hi, singular_lo=singular_lo, comparisons=(partner,),
-                        nonnegative=claim_sign and nonnegative_f)
+    f, lo, hi, singular_lo, singular_hi, partners, nonnegative_f = case
+    spec = ImproperSpec(f, lo, hi, singular_lo=singular_lo, singular_hi=singular_hi,
+                        comparisons=partners, nonnegative=claim_sign and nonnegative_f)
     target = F(mantissa, 10**exponent)
     expected, widths = _full_schedule(spec, target, max_steps)
     verdict = improper_integral(spec, target, max_steps)
@@ -795,6 +819,29 @@ def test_skipped_windows_leave_the_answer_unchanged(case, exponent, mantissa, cl
     kept = tuple(item for step, (item, width) in enumerate(zip(expected.trace, widths))
                  if width <= target or step == max_steps - 1)
     assert verdict.trace == kept
+
+
+def test_improper_jumps_to_the_first_window_that_can_certify(monkeypatch):
+    """The power-law partner bounds are compared exactly before the loop, so
+    the loop computes one outward-rounded bound where it walked 42 steps."""
+    from certreal.cli import resolve_function
+
+    calls = []
+    for name in ("tail_bound", "head_bound"):
+        bound = getattr(Comparison, name)
+        monkeypatch.setattr(Comparison, name,
+                            lambda self, at, digits, _bound=bound: calls.append(at)
+                            or _bound(self, at, digits))
+    for fn, lo, hi, partner in (
+        ("x^-1/2", F(0), F(7, 4), Comparison("p_at_zero", p=F(1, 2))),
+        ("x^-3/2", F(2), None, Comparison("p_at_inf", p=F(3, 2), from_x=F(2))),
+    ):
+        calls.clear()
+        spec = ImproperSpec(resolve_function(fn), lo, hi, singular_lo=lo == 0,
+                            comparisons=(partner,), nonnegative=True)
+        verdict = improper_integral(spec, F(1, 10**6))
+        assert verdict.status is Status.CONVERGES, fn
+        assert len(calls) <= 2, (fn, calls)
 
 
 def test_improper_integrates_only_windows_that_can_certify(monkeypatch):
