@@ -246,7 +246,8 @@ def gallery(name: str, **params) -> FnDescriptor:
 
     rational_indicator: 1 on rationals, 0 on irrationals; Darboux-usable
     only (range rule m=0, M=1 on every nondegenerate interval).
-    unit_step: 0 for x < 0, 1 for x >= 0.  flat_bump: exp(-1/x^2), 0 at 0.
+    unit_step: 0 for x < 0, 1 for x >= 0, with its exact antiderivative
+    max(x, 0).  flat_bump: exp(-1/x^2), 0 at 0.
     smooth_step(a, b): 0 left of a, 1 right of b, smooth and increasing.
     sawtooth(levels): truncated nowhere-differentiable sum, with its exact
     antiderivative and Lipschitz constant levels + 1.
@@ -267,6 +268,9 @@ def gallery(name: str, **params) -> FnDescriptor:
             eval_rat=lambda x: Fraction(1) if x >= 0 else Fraction(0),
             monotone="increasing",
             bound=Fraction(1),
+            antiderivative=FnDescriptor(
+                name="integral of unit_step from 0", eval_rat=lambda x: max(x, Fraction(0))
+            ),
         )
     if name == "flat_bump":
         digits = int(params.get("digits", 20))
@@ -290,7 +294,7 @@ def gallery(name: str, **params) -> FnDescriptor:
             raise ValueError("need a < b")
 
         def step_eval(x: Fraction, d: int) -> Enclosure:
-            from certreal.powerseries import exp_enclosure
+            from certreal.powerseries import _exp_negative_shift, _exp_series
 
             if x <= a:
                 return Enclosure.point(0)
@@ -298,10 +302,34 @@ def gallery(name: str, **params) -> FnDescriptor:
                 return Enclosure.point(1)
             # rise / (rise + fall) = 1 / (1 + e^q) with q = 1/(x-a) - 1/(b-x),
             # written through e^-|q| in (0, 1] so that no exp argument is
-            # large and positive and no enclosure of a sum touches 0
+            # large and positive.  The larger of the value and its
+            # complement is 1/(1 + e^-|q|) in [1/2, 1], bracketed from
+            # integers alone: e^-|q| <= 1/p gives [p/(p+1), 1], and
+            # N/D <= e^|q| <= H/G gives [N/(N+D), H/(H+G)].  Each end is
+            # rounded outward once onto the 10^-(d+1) grid, so the
+            # endpoints keep O(d) bits however large N, D, H and G grow.
+            #
+            # Width: 1/(p+1) < 1/p <= 10^-(d+1), and E |-> E/(E+1) has slope
+            # 1/(E+1)^2 <= 1/4 on E >= 1 while H/G - N/D <= 10^-(d+1), so
+            # the exact bracket is at most 10^-(d+1) wide; the two roundings
+            # add at most 2·10^-(d+1), and 3·10^-(d+1) < 10^-d.  Integration
+            # rounds onto 10^-d, and floor(floor(y·10^(d+1))/10) =
+            # floor(y·10^d), so its sums are those of the exact bracket.
             q = 1 / (x - a) - 1 / (b - x)
-            larger = (1 + exp_enclosure(-abs(q), d + 1)).reciprocal()  # in [1/2, 1]
-            return larger if q <= 0 else 1 - larger
+            shift = _exp_negative_shift(abs(q.numerator), q.denominator, d + 1)
+            if shift is not None:
+                lo_num, lo_den, hi_num, hi_den = 1 << shift, (1 << shift) + 1, 1, 1
+            else:
+                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q.numerator), q.denominator, d + 1)
+                lo_den += lo_num
+                hi_den += hi_num
+            if q > 0:  # the complement 1 - larger
+                lo_num, lo_den, hi_num, hi_den = hi_den - hi_num, hi_den, lo_den - lo_num, lo_den
+            scale = 10 ** (d + 1)
+            return Enclosure(
+                Fraction(lo_num * scale // lo_den, scale),
+                Fraction(-(-hi_num * scale // hi_den), scale),
+            )
 
         return FnDescriptor(
             name=f"smooth_step[{a},{b}]",
@@ -363,8 +391,16 @@ class SawtoothSeries:
         upto = self.level_cap if upto is None else upto
         if upto > self.level_cap:
             raise IndexError("level beyond cap")
+        # At x = p/q layer n is r/(q 4^n), with r = p 4^n mod 2q folded to
+        # 2q - r past q (`layer_value` in integers), so the sum is one
+        # integer over q 4^upto: layer n carries the weight 4^(upto - n).
         x = to_rational(x)
-        return sum((self.layer_value(n, x) for n in range(upto + 1)), Fraction(0))
+        p, q = x.numerator, x.denominator
+        total, residue = 0, p % (2 * q)
+        for _ in range(upto + 1):
+            total = 4 * total + (residue if residue <= q else 2 * q - residue)
+            residue = 4 * residue % (2 * q)
+        return Fraction(total, q * 4**upto)
 
     def partial_area(self, x: RationalLike) -> Fraction:
         """Exact integral of the partial sum through the cap over [0, x]."""

@@ -24,13 +24,29 @@ class AmbiguousSign(ValueError):
     """The oracle's enclosure straddles zero even after refinement."""
 
 
-def _signed_value(f: FnDescriptor, x: Fraction, digits: int) -> Fraction:
-    """A rational with the sign of f(x): exact value, or any point of a
-    zero-free enclosure.  Raises AmbiguousSign when refinement cannot
-    separate the enclosure from zero."""
+# Digits past those of 1/(b - a) that a sign test at a point of [a, b] may
+# ask for.  An enclosure that still straddles 0 there puts |f(x)| below
+# (b - a)·10^-_SIGN_SLACK: for an f of moderate slope the probe sits within
+# a tiny fraction of the bracket of a root, and a probe moved off it does not.
+_SIGN_SLACK = 10
+
+
+def _signed_value(f: FnDescriptor, x: Fraction, digits: int, a: Fraction, b: Fraction) -> Fraction:
+    """A rational with the sign of f(x), for x in the bracket [a, b]: exact
+    value, or any point of a zero-free enclosure.  With D the decimal
+    digits of 1/(b - a), the first enclosure is taken at max(digits, D)
+    digits, where a probe of an f of moderate slope is usually zero-free
+    already; while it straddles zero the digits double (Ziv's strategy),
+    up to max(4·digits, D + _SIGN_SLACK).  AmbiguousSign is raised past
+    that bound."""
     if f.eval_rat is not None:
         return f.value_at(x)
-    for d in (digits, 2 * digits, 4 * digits):
+    width = b - a
+    bits = width.denominator.bit_length() - width.numerator.bit_length()
+    inverse_digits = bits * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+    top = max(4 * digits, inverse_digits + _SIGN_SLACK)
+    d = max(digits, inverse_digits)
+    while True:
         enc = f.enclosure_at(x, d)
         if enc.lo == enc.hi == 0:
             return Fraction(0)
@@ -38,7 +54,9 @@ def _signed_value(f: FnDescriptor, x: Fraction, digits: int) -> Fraction:
             return enc.lo
         if enc.hi < 0:
             return enc.hi
-    raise AmbiguousSign(f"enclosure of f({x}) straddles zero at {4 * digits} digits")
+        if d >= top:
+            raise AmbiguousSign(f"enclosure of f({x}) straddles zero at {d} digits")
+        d = min(2 * d, top)
 
 
 @dataclass(frozen=True)
@@ -58,8 +76,8 @@ class Bracket:
         object.__setattr__(self, "b", b)
         if a >= b:
             raise ValueError("need a < b")
-        fa = _signed_value(self.f, a, self.digits)
-        fb = _signed_value(self.f, b, self.digits)
+        fa = _signed_value(self.f, a, self.digits, a, b)
+        fb = _signed_value(self.f, b, self.digits, a, b)
         if fa * fb > 0:
             raise ValueError(f"no sign change: f({a}) = {fa}, f({b}) = {fb}")
 
@@ -79,14 +97,15 @@ def bisect(bracket: Bracket, iterations: int) -> BisectResult:
     an exact zero at a midpoint (or endpoint) returns the degenerate
     enclosure at once.  When an enclosure oracle straddles zero at a
     midpoint, the split point is perturbed (reported in the result); the
-    step then shrinks the bracket by 3/8 instead of 1/2.
+    step then shrinks the bracket by 3/8 instead of 1/2.  AmbiguousSign is
+    raised when the 3/8 point straddles zero too.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     f = bracket.f
     a, b = bracket.a, bracket.b
-    fa = _signed_value(f, a, bracket.digits)
-    fb = _signed_value(f, b, bracket.digits)
+    fa = _signed_value(f, a, bracket.digits, a, b)
+    fb = _signed_value(f, b, bracket.digits, a, b)
     if fa == 0:
         return BisectResult(Enclosure.point(a), ((a, a),), True)
     if fb == 0:
@@ -97,12 +116,17 @@ def bisect(bracket: Bracket, iterations: int) -> BisectResult:
     for _ in range(iterations):
         mid = (a + b) / 2
         try:
-            value = _signed_value(f, mid, bracket.digits)
+            value = _signed_value(f, mid, bracket.digits, a, b)
         except AmbiguousSign:
             # perturbed midpoint: a zero-free probe cannot sit at the root
             perturbed += 1
             mid = a + (b - a) * Fraction(3, 8)
-            value = _signed_value(f, mid, bracket.digits)
+            try:
+                value = _signed_value(f, mid, bracket.digits, a, b)
+            except AmbiguousSign as exc:
+                raise AmbiguousSign(
+                    f"f straddles zero at the midpoint and the 3/8 point of [{a}, {b}]"
+                ) from exc
         if flip:
             value = -value
         if value == 0:

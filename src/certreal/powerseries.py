@@ -49,20 +49,22 @@ def _target(digits: int) -> Fraction:
     return Fraction(1, 10**digits)
 
 
-def _exp_positive(q: Fraction, digits: int) -> Enclosure:
-    # Terms t_k = q^k / k!; once k + 1 >= 2q the ratio is <= 1/2, so the
-    # tail after term k is at most twice the next term.
+def _exp_series(a: int, b: int, digits: int) -> tuple[int, int, int, int]:
+    """(N, D, H, G) with N/D <= e^(a/b) <= H/G and H/G - N/D <= 10^-digits,
+    for integers a > 0 < b; the fractions are not reduced."""
+    # Terms t_k = q^k / k! with q = a/b; once k + 1 >= 2q the ratio is
+    # <= 1/2, so the tail after term k is at most twice the next term.
     #
-    # With q = a/b the partial sum through t_k is N_k / D_k over the common
-    # denominator D_k = b^k k!, where N_k = N_(k-1) b k + a^k, and the next
-    # term is a^(k+1) / (D_k b (k+1)).  Integers only inside the loop: one
-    # gcd at the end instead of one per term, and the same rationals.
+    # The partial sum through t_k is N_k / D_k over the common denominator
+    # D_k = b^k k!, where N_k = N_(k-1) b k + a^k, and the next term is
+    # a^(k+1) / (D_k b (k+1)).  Integers only inside the loop: one gcd at
+    # the end (in the caller's Fraction, if it builds one) instead of one
+    # per term, and the same rationals.
     #
     # Termination: from the first k with k + 1 >= 2q on, each next term is
     # at most half the one before (t_(j+1) / t_j = q / (j+1) <= 1/2), so
     # 2 t_(k+1) <= 10^-digits holds within log2(2 t_(k0+1) 10^digits)
     # further steps.
-    a, b = q.numerator, q.denominator
     scale = 2 * 10**digits
     num = den = power = 1  # N_k, D_k, a^k
     k = 0
@@ -74,9 +76,26 @@ def _exp_positive(q: Fraction, digits: int) -> Enclosure:
         if (k + 1) * b >= 2 * a:
             nxt_num, nxt_den = power * a, den * b * (k + 1)
             if scale * nxt_num <= nxt_den:
-                return Enclosure(
-                    Fraction(num, den), Fraction(num * b * (k + 1) + 2 * nxt_num, nxt_den)
-                )
+                return num, den, num * b * (k + 1) + 2 * nxt_num, nxt_den
+
+
+def _exp_positive(q: Fraction, digits: int) -> Enclosure:
+    num, den, hi_num, hi_den = _exp_series(q.numerator, q.denominator, digits)
+    return Enclosure(Fraction(num, den), Fraction(hi_num, hi_den))
+
+
+def _exp_negative_shift(a: int, b: int, digits: int) -> Optional[int]:
+    """m with e^(-a/b) <= 2^-m <= 10^-digits and m = O(digits), when
+    e^(-a/b) is that small (a, b > 0); otherwise None."""
+    # e^(-a/b) <= 2^-m for m = floor(1.442 a/b), as 1.442 < log2(e).
+    # Once 2^-m <= 10^-digits, [0, 2^-m'] is narrow enough; m' = min(m, cap)
+    # keeps the endpoint at O(digits) bits (2^-m' >= 2^-m still bounds
+    # e^(-a/b), and 2^-cap < 10^-digits).
+    cap = 4 * digits + 64
+    m = 1442 * a // (1000 * b)
+    if m >= cap or 1 << m >= 10**digits:
+        return min(m, cap)
+    return None
 
 
 def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
@@ -86,14 +105,9 @@ def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
         return Enclosure.point(1)
     if q > 0:
         return _exp_positive(q, digits)
-    # Early exit: e^q <= 2^-m for m = floor(1.442 |q|), as 1.442 < log2(e).
-    # Once 2^-m <= 10^-digits, [0, 2^-m'] is narrow enough; m' = min(m, cap)
-    # keeps the endpoint at O(digits) bits (2^-m' >= 2^-m still bounds e^q,
-    # and 2^-cap < 10^-digits).
-    cap = 4 * digits + 64
-    m = 1442 * -q.numerator // (1000 * q.denominator)
-    if m >= cap or 1 << m >= 10**digits:
-        return Enclosure(Fraction(0), Fraction(1, 1 << min(m, cap)))
+    shift = _exp_negative_shift(-q.numerator, q.denominator, digits)
+    if shift is not None:
+        return Enclosure(Fraction(0), Fraction(1, 1 << shift))
     # exp(q) = 1 / exp(-q); exp(-q) >= 1, so the reciprocal width is no
     # larger than the direct width.
     return _exp_positive(-q, digits).reciprocal()

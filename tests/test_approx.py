@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certreal.approx import (
     BernsteinOperator,
@@ -17,7 +18,7 @@ from certreal.approx import (
     weierstrass_m_test,
 )
 from certreal.core import Enclosure, FnDescriptor, Status, poly_descriptor
-from certreal.integration import darboux, regular_partition
+from certreal.integration import darboux, integrate_enclosure, regular_partition
 from certreal.powerseries import exp_enclosure
 from certreal.sequences import TermStream
 
@@ -132,6 +133,14 @@ def test_gallery_unit_step():
     assert step.monotone == "increasing"
 
 
+def test_unit_step_auto_integral_is_its_exact_antiderivative():
+    step = gallery("unit_step")
+    for a, b in ((F(-1), F(1)), (F(-3, 4), F(-1, 4)), (F(1, 3), F(7, 2)), (F(-5), F(2, 7))):
+        result = integrate_enclosure(step, a, b, F(1, 10**6))
+        assert result.method == "antiderivative" and result.subintervals == 0
+        assert result.enclosure == Enclosure.point(max(b, 0) - max(a, 0))
+
+
 def test_gallery_bump_values():
     bump = gallery("flat_bump")
     assert bump.enclosure_at(0, 10) == Enclosure.point(0)
@@ -147,6 +156,46 @@ def test_gallery_smooth_step():
     assert 0 < inside.lo and inside.hi < 1
     with pytest.raises(ValueError):
         gallery("smooth_step", a=1, b=0)
+
+
+def _smooth_step_reference(a, b, x, d):
+    """The smooth-step oracle in exact enclosure arithmetic on exp_enclosure:
+    1/(1 + e^-|q|) and its complement, unrounded."""
+    if x <= a:
+        return Enclosure.point(0)
+    if x >= b:
+        return Enclosure.point(1)
+    q = 1 / (x - a) - 1 / (b - x)
+    larger = (1 + exp_enclosure(-abs(q), d + 1)).reciprocal()
+    return larger if q <= 0 else 1 - larger
+
+
+@settings(deadline=None, max_examples=150)
+@given(a=st.fractions(-20, 20, max_denominator=12),
+       span=st.fractions(F(1, 12), 30, max_denominator=12),
+       t=st.fractions(F(-1, 10), F(11, 10), max_denominator=1000), d=st.integers(1, 30))
+def test_smooth_step_is_the_reference_rounded_outward(a, span, t, d):
+    """Each end is the exact reference end rounded outward onto the
+    10^-(d+1) grid, and the enclosure meets the 10^-d contract."""
+    b, x = a + span, a + span * t
+    reference = _smooth_step_reference(a, b, x, d)
+    enc = gallery("smooth_step", a=a, b=b).enclosure_at(x, d)
+    scale = 10 ** (d + 1)
+    assert enc.lo == F(math.floor(reference.lo * scale), scale)
+    assert enc.hi == F(math.ceil(reference.hi * scale), scale)
+    assert enc.width() <= F(1, 10**d)
+    assert scale % enc.lo.denominator == 0 and scale % enc.hi.denominator == 0
+
+
+def test_sawtooth_integer_sums_equal_the_layer_sums():
+    rng = random.Random(11)
+    for cap in (0, 1, 5, 12):
+        series = SawtoothSeries(cap)
+        for _ in range(60):
+            x = F(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+            for upto in {0, cap // 2, cap}:
+                layers = sum((series.layer_value(n, x) for n in range(upto + 1)), F(0))
+                assert series.partial_value(x, upto) == layers
 
 
 def test_sawtooth_layers_and_truncation():

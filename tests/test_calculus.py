@@ -1,15 +1,24 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from certreal.calculus import (
+    AmbiguousSign,
     Bracket,
     WitnessScanInconclusive,
     bisect,
     count_roots_report,
     mvt_witness,
 )
-from certreal.core import MissingMetadataError, poly_descriptor, sqrt_enclosure
+from certreal.core import (
+    Enclosure,
+    FnDescriptor,
+    MissingMetadataError,
+    poly_descriptor,
+    sqrt_enclosure,
+)
+from certreal.powerseries import cos_enclosure, pi_enclosure
 
 SEXTIC = poly_descriptor([1, 6, 0, 0, 0, 0, 1], name="x^6+6x+1")
 SEXTIC_PIECED = SEXTIC.with_meta(
@@ -53,6 +62,44 @@ def test_bisect_exact_zero_midpoint():
     result = bisect(Bracket(line, -1, 1), 30)
     assert result.exact_hit
     assert result.enclosure.lo == result.enclosure.hi == 0
+
+
+def test_bisect_cos_to_300_halvings():
+    # near pi/2 after ~270 halvings |cos(mid)| is about 10^-81, so the
+    # sign test needs more than 4 * 20 digits: its cap follows the bracket
+    cos = FnDescriptor(name="cos", eval_enc=cos_enclosure)
+    result = bisect(Bracket(cos, 1, 2), 300)
+    shrink = F(1, 2) ** (300 - result.perturbed_midpoints) * F(5, 8) ** result.perturbed_midpoints
+    assert result.enclosure.width() <= shrink
+    assert result.perturbed_midpoints or result.enclosure.width() == F(1, 2**300)
+    half_pi = pi_enclosure(100).scale(F(1, 2))
+    assert result.enclosure.lo < half_pi.lo and half_pi.hi < result.enclosure.hi
+
+
+def test_bisect_sign_test_reaches_past_the_bracket_digits():
+    # after 100 halvings of [0, 1] the bracket is [m, m + 1]/2^100 with
+    # m = floor(2^100/3), and the root lies 10^-5 bracket widths past its
+    # midpoint, whose sign needs about 5 digits more than 1/width has
+    root = F(2 * (2**100 // 3) + 1, 2**101) + F(1, 2**100 * 10**5)
+
+    def line(x, d):
+        scale = 10**d
+        return Enclosure(F(math.floor((x - root) * scale), scale),
+                         F(math.ceil((x - root) * scale), scale))
+
+    result = bisect(Bracket(FnDescriptor(name="x - r", eval_enc=line), 0, 1, digits=5), 101)
+    assert result.perturbed_midpoints == 0
+    assert result.enclosure.width() == F(1, 2**101) and result.enclosure.contains(root)
+
+
+def test_bisect_raises_when_both_probes_straddle_zero():
+    # an oracle that can never separate f from 0 inside (0, 1)
+    vague = FnDescriptor(
+        name="vague",
+        eval_enc=lambda x, d: Enclosure(-1, 1) if 0 < x < 1 else Enclosure.point(2 * x - 1),
+    )
+    with pytest.raises(AmbiguousSign, match="3/8 point"):
+        bisect(Bracket(vague, 0, 1), 1)
 
 
 def test_count_roots_sextic():
