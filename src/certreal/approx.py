@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Callable, Optional, Union
 
 from certreal.core import (
@@ -315,15 +315,21 @@ def gallery(name: str, **params) -> FnDescriptor:
             # add at most 2·10^-(d+1), and 3·10^-(d+1) < 10^-d.  Integration
             # rounds onto 10^-d, and floor(floor(y·10^(d+1))/10) =
             # floor(y·10^d), so its sums are those of the exact bracket.
-            q = 1 / (x - a) - 1 / (b - x)
-            shift = _exp_negative_shift(abs(q.numerator), q.denominator, d + 1)
+            # In integers, for x = n/m: q = m (ad Q - bd P)/(P Q), with
+            # P = (x - a) m ad > 0 and Q = (b - x) m bd > 0, reduced by one gcd.
+            n, m = x.numerator, x.denominator
+            big_p, big_q = n * a.denominator - a.numerator * m, b.numerator * m - n * b.denominator
+            q_num, q_den = m * (a.denominator * big_q - b.denominator * big_p), big_p * big_q
+            g = gcd(q_num, q_den)
+            q_num, q_den = q_num // g, q_den // g
+            shift = _exp_negative_shift(abs(q_num), q_den, d + 1)
             if shift is not None:
                 lo_num, lo_den, hi_num, hi_den = 1 << shift, (1 << shift) + 1, 1, 1
             else:
-                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q.numerator), q.denominator, d + 1)
+                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q_num), q_den, d + 1)
                 lo_den += lo_num
                 hi_den += hi_num
-            if q > 0:  # the complement 1 - larger
+            if q_num > 0:  # the complement 1 - larger
                 lo_num, lo_den, hi_num, hi_den = hi_den - hi_num, hi_den, lo_den - lo_num, lo_den
             scale = 10 ** (d + 1)
             return Enclosure(

@@ -360,9 +360,12 @@ def cmd_integrate(args) -> tuple[Report, int]:
     below = lo is None or lo < 0
     if power and below and (exponent.denominator != 1 or exponent == -1):
         raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
-    # an improper integral's finite end at 0 is a singular end, outside every window
+    # an improper integral's finite end at 0 is a singular end, outside every window;
+    # an upper end 0 only for an even p < 0, where x^p = |x|^p > 0 on [lo, 0)
+    singular_hi = (args.improper and power is not None and hi == 0 and lo is not None
+                   and lo < 0 and exponent < 0 and exponent.numerator % 2 == 0)
     at_zero = (below or (lo == 0 and not args.improper)) and (hi is None or hi >= 0)
-    if power and exponent.denominator == 1 and exponent < 0 and at_zero:
+    if power and exponent.denominator == 1 and exponent < 0 and at_zero and not singular_hi:
         raise UsageError(f"{args.fn} is unbounded at 0; [{args.a}, {args.b}] contains 0")
     if args.improper:
         comparisons = []
@@ -383,8 +386,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
                 comparisons.append(
                     integration.Comparison("p_at_zero", p=-exponent, const=Fraction(1))
                 )
-            # the singular end 0 of a nonempty [0, hi]: there x^p = t^p > 0
-            if lo == 0 and (hi is None or hi > 0) and -exponent >= 1:
+            # the singular end 0 of a nonempty [0, hi] or [lo, 0]: there x^p = t^p > 0
+            if (singular_hi or lo == 0 and (hi is None or hi > 0)) and -exponent >= 1:
                 comparisons.append(
                     integration.Comparison("minorant_p_at_zero", p=-exponent,
                                            const=Fraction(1))
@@ -392,6 +395,7 @@ def cmd_integrate(args) -> tuple[Report, int]:
         spec = integration.ImproperSpec(
             f, lo, hi,
             singular_lo=(lo == 0 and args.fn.startswith("x^-")),
+            singular_hi=singular_hi,
             comparisons=tuple(comparisons),
             # x^p >= 0 unless p is odd and the interval reaches below 0
             nonnegative=power is not None and (exponent.numerator % 2 == 0 or not below),

@@ -22,10 +22,12 @@ RationalLike = Union[Fraction, int, str]
 
 
 def to_rational(value: RationalLike) -> Fraction:
-    """Coerce int / "p/q" / decimal string to an exact Fraction.
+    """Coerce int / "p/q" / decimal string to an exact Fraction; a Fraction is returned as is.
 
     Floats are refused: pass a string (e.g. "1e-3") or a Fraction instead.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce float %r on a certified path; "
@@ -522,9 +524,17 @@ def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fra
     return _round_out(x, x, 10**shift if shift >= 0 else Fraction(1, 10**-shift))
 
 
-def _round_out(lo: Fraction, hi: Fraction, scale: RationalLike) -> tuple[Fraction, Fraction]:
+def _grid_ends(lo: Fraction, hi: Fraction, scale: Fraction | int) -> tuple[int, int]:
+    """floor(lo·scale) and ceil(hi·scale), by integer division."""
+    n, d = scale.numerator, scale.denominator
+    return lo.numerator * n // (lo.denominator * d), -(-hi.numerator * n // (hi.denominator * d))
+
+
+def _round_out(lo: Fraction, hi: Fraction, scale: Fraction | int) -> tuple[Fraction, Fraction]:
     """lo rounded down and hi rounded up to the grid of multiples of 1/scale."""
-    return Fraction(math.floor(lo * scale)) / scale, Fraction(math.ceil(hi * scale)) / scale
+    floor_lo, ceil_hi = _grid_ends(lo, hi, scale)
+    n, d = scale.numerator, scale.denominator
+    return Fraction(floor_lo * d, n), Fraction(ceil_hi * d, n)
 
 
 def rational_power_enclosure(x: RationalLike, exponent: RationalLike, digits: int = 12) -> Enclosure:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
@@ -25,6 +25,7 @@ from certreal.core import (
     Status,
     Verdict,
     _cut_points,
+    _grid_ends,
     _round_out,
     rational_power_enclosure,
     to_rational,
@@ -419,6 +420,14 @@ def _running_darboux(
     outward before it enters them, and a sum of exact values is rounded
     outward once its denominator exceeds 10^digits.  `outer` is set for a
     Lipschitz piece, and otherwise once anything was rounded.
+
+    The loop runs in integers on the midpoints (2k U + (2j+1)(V - U))/(2k D)
+    of u = U/D, v = V/D.  Each sum is G/10^digits + E: the integer G takes
+    the rounded values and the exact ones on the grid, and E (one for both
+    sums, as exact values enter both) the exact ones off it.  Rounding S
+    outward adds floor(E 10^digits) (upper sum: ceil) to G, so the rule is
+    checked only while E != 0, and each S is the rational the Fraction sums
+    held.  Fractions are built only for the yielded pairs.
     """
     scale = 10**digits
     outer = kind == "lipschitz"
@@ -431,6 +440,9 @@ def _running_darboux(
         outer = True
         return _round_out(lo, hi, scale)
 
+    def exceeds(g: int) -> bool:  # the rounding rule, for the sum g/scale + e
+        return (Fraction(g, scale) + e).denominator > scale
+
     u_lo, u_hi = bounds(u)
     v_lo, v_hi = bounds(v)
     swing = Fraction(0)
@@ -441,19 +453,27 @@ def _running_darboux(
         end_lo, end_hi = v_lo, u_hi
     else:
         end_lo, end_hi = u_lo, v_hi
-    sum_lo = sum_hi = Fraction(0)
+    den = lcm(u.denominator, v.denominator)
+    first, span = int(u * den), int((v - u) * den)
+    g_lo, g_hi, e = 0, 0, Fraction(0)
     k = 1
     while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
         h = (v - u) / k
-        yield k, h * (end_lo + sum_lo - swing), h * (end_hi + sum_hi + swing), outer
-        step = (v - u) / (2 * k)
-        for j in range(k):
-            lo, hi = bounds(u + (2 * j + 1) * step)
-            sum_lo += lo
-            sum_hi += hi
-            if sum_lo.denominator > scale or sum_hi.denominator > scale:
-                sum_lo, sum_hi = _round_out(sum_lo, sum_hi, scale)
-                outer = True
+        s_lo, s_hi = Fraction(g_lo, scale) + e, Fraction(g_hi, scale) + e
+        yield k, h * (end_lo + s_lo - swing), h * (end_hi + s_hi + swing), outer
+        x = 2 * k * first + span
+        for _ in range(k):
+            lo, hi = _raw_bounds(f, Fraction(x, 2 * k * den), digits)
+            x += 2 * span
+            if lo == hi and scale % lo.denominator:
+                e += lo  # exact, off the grid
+            else:
+                outer = outer or lo != hi
+                lo, hi = _grid_ends(lo, hi, scale)  # an exact value on the grid: itself
+                g_lo, g_hi = g_lo + lo, g_hi + hi
+            if e and (exceeds(g_lo) or exceeds(g_hi)):
+                (lo, hi), e = _grid_ends(e, e, scale), Fraction(0)
+                g_lo, g_hi, outer = g_lo + lo, g_hi + hi, True
         k *= 2
 
 

@@ -201,6 +201,26 @@ def test_power_function_refuses_negative_intervals(capsys):
         assert err.startswith("usage error: ") and reason in err, argv
 
 
+def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):
+    # x^p = |x|^p = t^p on [lo, 0) for an even p <= -2, with t the distance
+    # to 0: the head minorant certifies divergence.  An odd power is
+    # negative there and has no minorant, and a proper integral stays an
+    # error; x^2 on [-1, 0] has no singular end and converges
+    for fn, lo in (("x^-2", "-1"), ("x^-4", "-1/2")):
+        code, out, _ = run(capsys, "integrate", fn, "--improper", "--json", "--", lo, "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "Diverges", fn
+        assert payload["certificate"]["witnesses"]["minorant"] == (
+            f"1 * t^{fn[2:]} at distance t from the singular end")
+    for argv in (["x^-3", "--improper", "--", "-1", "0"], ["x^-2", "--", "-1", "0"]):
+        code, out, err = run(capsys, "integrate", *argv)
+        assert code == 1 and out == "" and "unbounded at 0" in err, argv
+    code, out, _ = run(capsys, "integrate", "x^2", "--improper", "--json", "--", "-1", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "Converges"
+    assert F(payload["enclosure"]["lo_exact"]) <= F(1, 3) <= F(payload["enclosure"]["hi_exact"])
+
+
 def test_integer_powers_below_zero(capsys):
     for argv, value, exact in (
         (["x^-2", "--improper", "--", "-inf", "-1"], F(1), False),

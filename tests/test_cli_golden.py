@@ -77,6 +77,7 @@ ARGVS = [
     ["integrate", "poly:x^2", "0", "inf", "--improper"],
     ["integrate", "gallery:sawtooth:8", "0", "inf", "--improper"],
     ["integrate", "x^-2", "--improper", "--", "-inf", "-1"],
+    ["integrate", "x^-2", "--improper", "--", "-1", "0"],
     ["integrate", "x^-2", "0", "1", "--improper"],
     ["integrate", "x^-1", "0", "1", "--improper"],
     ["integrate", "poly:x^2", "4", "1"],

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from certreal.approx import gallery
 
 from certreal.core import (
     Enclosure,
+    _round_out,
     approx_real,
     MissingMetadataError,
     decimal_string,
@@ -14,6 +16,7 @@ from certreal.core import (
     nth_root_enclosure,
     poly_descriptor,
     rational_power_enclosure,
+    outward_round,
     spot_check_metadata,
     to_rational,
 )
@@ -33,6 +36,41 @@ def test_rationals_normalized():
     value = F(1, 6) + F(1, 6)
     assert value.numerator == 1 and value.denominator == 3
     assert to_rational("2/4").denominator == 2
+
+
+def test_to_rational_returns_a_fraction_unchanged():
+    value = F(22, 7)
+    assert to_rational(value) is value
+    for raw, expected in (("1e-3", F(1, 1000)), ("-2/4", F(-1, 2)), (3, F(3))):
+        assert to_rational(raw) == expected and type(to_rational(raw)) is F
+
+    class Tagged(F):
+        pass
+
+    coerced = to_rational(Tagged(3, 4))
+    assert type(coerced) is F and coerced == F(3, 4)
+    with pytest.raises(TypeError):
+        to_rational(0.75)
+    with pytest.raises(TypeError):
+        Enclosure(0.25, 1)
+
+
+@given(ends=st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+                     min_size=2, max_size=2).map(sorted),
+       shift=st.integers(-12, 12), odd=st.sampled_from([1, 3, 7]))
+def test_round_out_is_the_floor_and_ceiling_on_the_grid(ends, shift, odd):
+    # the integer floor/ceil division against the Fraction formula it
+    # replaced, for int scales and for Fraction scales (shift < 0)
+    lo, hi = ends
+    for scale in (10**shift if shift >= 0 else F(1, 10**-shift), F(odd, 10**abs(shift))):
+        expected = (F(math.floor(lo * scale)) / scale, F(math.ceil(hi * scale)) / scale)
+        assert _round_out(lo, hi, scale) == expected
+    if lo > 0:
+        magnitude = math.floor(math.log10(lo.numerator) - math.log10(lo.denominator))
+        step = 12 - magnitude
+        scale = 10**step if step >= 0 else F(1, 10**-step)
+        assert outward_round(lo, 12) == (F(math.floor(lo * scale)) / scale,
+                                         F(math.ceil(lo * scale)) / scale)
 
 
 def test_float_rejected():

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +22,8 @@ from certreal.integration import (
     MissingMetadataError,
     Partition,
     _digits_for,
+    _raw_bounds,
+    _running_darboux,
     darboux,
     gamma,
     improper_integral,
@@ -453,6 +457,134 @@ def test_tight_smoothstep_refines_each_point_once():
     assert len(calls) == len(set(calls)) == 16385
     assert result.enclosure.contains(F(1, 2))  # smooth_step(x) + smooth_step(1-x) = 1
     assert result.width() <= F(1, 10**4)
+
+
+def test_smoothstep_point_loop_builds_three_fractions_per_point():
+    # a machine-independent counter: every Fraction built while smooth_step
+    # [0, 1] is integrated to 1e-4, per oracle point.  The midpoint and the
+    # oracle's two grid endpoints are three; the rest is per bracket.  The
+    # loop built 20 per point when the midpoints, the exp argument, the
+    # outward rounding and the running sums were Fraction arithmetic
+    f = gallery("smooth_step", a=0, b=1)
+    points = []
+
+    def counted(x, digits):
+        points.append(x)
+        return f.eval_enc(x, digits)
+
+    built = [0]
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting_new)
+    try:
+        result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
+    finally:
+        F.__new__ = new
+    assert len(points) == 16385
+    assert built[0] <= 4 * len(points), built[0] / len(points)
+    assert result.enclosure == Enclosure(F(81914999991801, 163840000000000),
+                                         F(81925000008199, 163840000000000))
+
+
+def _fraction_round_out(lo, hi, scale):
+    return F(math.floor(lo * scale)) / scale, F(math.ceil(hi * scale)) / scale
+
+
+def _reference_running_darboux(f, u, v, kind, digits):
+    """The Fraction-arithmetic running sums that the integer loop of
+    `_running_darboux` replaced, kept as the reference for its brackets."""
+    scale = 10**digits
+    outer = kind == "lipschitz"
+
+    def bounds(x):
+        nonlocal outer
+        lo, hi = _raw_bounds(f, x, digits)
+        if lo == hi:
+            return lo, hi
+        outer = True
+        return _fraction_round_out(lo, hi, scale)
+
+    u_lo, u_hi = bounds(u)
+    v_lo, v_hi = bounds(v)
+    swing = F(0)
+    if kind == "lipschitz":
+        end_lo, end_hi = (u_lo + v_lo) / 2, (u_hi + v_hi) / 2
+        swing = f.lipschitz * (v - u) / 2
+    elif kind == "decreasing":
+        end_lo, end_hi = v_lo, u_hi
+    else:
+        end_lo, end_hi = u_lo, v_hi
+    sum_lo = sum_hi = F(0)
+    k = 1
+    while True:
+        h = (v - u) / k
+        yield k, h * (end_lo + sum_lo - swing), h * (end_hi + sum_hi + swing), outer
+        step = (v - u) / (2 * k)
+        for j in range(k):
+            lo, hi = bounds(u + (2 * j + 1) * step)
+            sum_lo += lo
+            sum_hi += hi
+            if sum_lo.denominator > scale or sum_hi.denominator > scale:
+                sum_lo, sum_hi = _fraction_round_out(sum_lo, sum_hi, scale)
+                outer = True
+        k *= 2
+
+
+def _mixed_oracle(x, digits):
+    # x/3, exact (off the decimal grid) where x has an odd denominator or a
+    # numerator divisible by 3, and otherwise a 10^-(digits+2) enclosure
+    value = x / 3
+    if x.denominator % 2 or x.numerator % 3 == 0:
+        return Enclosure.point(value)
+    scale = 10 ** (digits + 2)
+    return Enclosure(*_fraction_round_out(value, value, scale))
+
+
+_REFERENCE_CASES = {
+    "smooth_step": lambda a, b, u: (gallery("smooth_step", a=a, b=b), "increasing"),
+    "flat_bump": lambda a, b, u: (gallery("flat_bump"), "increasing" if u >= 0 else "decreasing"),
+    "1/x^2": lambda a, b, u: (_INV_SQUARE_EXACT, "decreasing"),
+    "dyadic x^2": lambda a, b, u: (poly_descriptor([0, 0, 1]).with_meta(poly_coeffs=None),
+                                   "increasing"),
+    "exact 3x/20": lambda a, b, u: (FnDescriptor(name="3x/20", eval_rat=lambda x: 3 * x / 20),
+                                    "increasing"),
+    "mixed x/3": lambda a, b, u: (FnDescriptor(name="mixed", eval_enc=_mixed_oracle,
+                                               monotone="increasing"), "increasing"),
+    "lipschitz |x - 1/3|": lambda a, b, u: (
+        FnDescriptor(name="lip", eval_rat=lambda x: abs(x - F(1, 3)), lipschitz=F(1)),
+        "lipschitz"),
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_running_darboux_matches_the_fraction_reference(data):
+    """The first 10 brackets (k, L, U, outer) of the integer loop equal
+    those of the Fraction running sums, on every kind of oracle value:
+    grid-rounded enclosures, exact values on and off the decimal grid
+    (3x/20: sums that leave the grid and come back to it), both mixed,
+    Lipschitz pieces, and increasing and decreasing pieces."""
+    name = data.draw(st.sampled_from(sorted(_REFERENCE_CASES)))
+    fractions = st.fractions(min_value=-2, max_value=2, max_denominator=64)
+    if name == "1/x^2":
+        fractions = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=64)
+    elif name == "dyadic x^2":
+        fractions = st.integers(-64, 64).map(lambda n: F(n, 16))
+    elif name == "flat_bump":
+        sign = data.draw(st.sampled_from([1, -1]))
+        fractions = st.fractions(min_value=0, max_value=2, max_denominator=64).map(
+            lambda x: sign * x)
+    u, v = data.draw(st.lists(fractions, min_size=2, max_size=2, unique=True).map(sorted))
+    a, b = data.draw(st.lists(st.fractions(-2, 2, max_denominator=16), min_size=2,
+                              max_size=2, unique=True).map(sorted))
+    f, kind = _REFERENCE_CASES[name](a, b, u)
+    digits = data.draw(st.integers(1, 12))
+    expected = list(islice(_reference_running_darboux(f, u, v, kind, digits), 10))
+    assert list(islice(_running_darboux(f, u, v, kind, digits), 10)) == expected
 
 
 def test_flat_bump_certifies_across_its_flat_point():
