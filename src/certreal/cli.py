@@ -272,7 +272,6 @@ class Report:
         self.certificate = None
         self.trace: list = []
         self.extras: dict = {}
-        self.started = time.perf_counter()
 
     def payload(self, digits: int) -> dict:
         out = {
@@ -288,7 +287,9 @@ class Report:
         out.update(_jsonable(self.extras, digits))
         return out
 
-    def render(self, json_mode: bool, digits: int) -> str:
+    def render(self, json_mode: bool, digits: int, started: float) -> str:
+        """JSON, or text ending in the wall time since `started`
+        (a `time.perf_counter()` reading taken before the work)."""
         if json_mode:
             return json.dumps(self.payload(digits), sort_keys=True)
         lines = [f"command: {self.command}"]
@@ -305,15 +306,15 @@ class Report:
             lines.append(f"trace: {_jsonable(item, digits)}")
         for key, value in self.extras.items():
             lines.append(f"{key}: {_jsonable(value, digits)}")
-        lines.append(f"elapsed: {time.perf_counter() - self.started:.3f}s")
+        lines.append(f"elapsed: {time.perf_counter() - started:.3f}s")
         return "\n".join(lines)
 
 
 class _CsvReport(Report):
     """Sample report: text mode prints only the CSV, for external plotters."""
 
-    def render(self, json_mode: bool, digits: int) -> str:
-        return super().render(json_mode, digits) if json_mode else self.extras["csv"]
+    def render(self, json_mode: bool, digits: int, started: float) -> str:
+        return super().render(json_mode, digits, started) if json_mode else self.extras["csv"]
 
 
 def _verdict_exit(status: Status) -> int:
@@ -639,6 +640,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Built on the first call, not at import, and reused: parse_args
         # keeps no state, and building costs about as much as a small query.
         _parser = build_parser()
+    started = time.perf_counter()
     try:
         args = _parser.parse_args(argv)
         report, code = _HANDLERS[args.command](args)
@@ -648,7 +650,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(report.render(args.json, args.digits))
+    print(report.render(args.json, args.digits, started))
     return code
 
 

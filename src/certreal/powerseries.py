@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 
-def _target(digits: int) -> Fraction:
-    return Fraction(1, 10**digits)
-
-
 def _exp_series(a: int, b: int, digits: int) -> tuple[int, int, int, int]:
     """(N, D, H, G) with N/D <= e^(a/b) <= H/G and H/G - N/D <= 10^-digits,
     for integers a > 0 < b; the fractions are not reduced."""
@@ -127,7 +123,7 @@ _LN2_CACHE: dict[int, Enclosure] = {}
 
 def _atanh_small(z: Fraction, digits: int) -> Enclosure:
     # atanh(z) = sum z^(2j+1)/(2j+1) for |z| < 1; geometric tail bound.
-    target = _target(digits)
+    target = Fraction(1, 10**digits)
     z2 = z * z
     if z2 >= 1:
         raise ValueError("atanh argument out of range")
@@ -182,29 +178,39 @@ def ln_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 def _sin_like(q: Fraction, digits: int, cosine: bool) -> Enclosure:
     # Alternating factorial series; tail bounded by twice the next term
     # once the index passes 2|q|.
-    target = _target(digits)
-    if cosine:
-        total = Fraction(1)
-        term = Fraction(1)
-        k = 0  # current exponent
-    else:
-        total = q
-        term = q
-        k = 1
-    # Termination: the term ratio q^2 / ((k+1)(k+2)) tends to 0, so nxt does.
+    #
+    # With q = a/b, the partial sum through exponent k is N / D over the
+    # common denominator D = b^k k!, and the last term is T / D with
+    # T = +-a^k.  Two exponents on, D gains the factor b^2 (k+1)(k+2) and T
+    # the factor -a^2, so the loop runs in integers and only the returned
+    # endpoints become Fractions: the same rationals as a Fraction loop.
+    #
+    # Termination: k grows by 2 per step, so k b >= 2|a| (k >= 2|q|) holds
+    # from some step on; from there the term ratio q^2 / ((k+1)(k+2)) is
+    # below 1/4, so 4 * 10^digits * nxt <= 1 within log4(4 nxt 10^digits)
+    # further steps.
+    a, b = q.numerator, q.denominator
+    a2, b2 = a * a, b * b
+    scale = 4 * 10**digits
+    num, den, term, k = (1, 1, 1, 0) if cosine else (a, b, a, 1)
+    step = b2 * (k + 1) * (k + 2)  # D's factor two exponents on
     while True:
-        term = -term * q * q / ((k + 1) * (k + 2))
+        term *= -a2
+        num, den = num * step + term, den * step
         k += 2
-        total += term
-        nxt = abs(term) * q * q / ((k + 1) * (k + 2))
-        if k >= 2 * abs(q) and 4 * nxt <= target:
-            raw = Enclosure(total - 2 * nxt, total + 2 * nxt)
+        step = b2 * (k + 1) * (k + 2)
+        nxt_num, nxt_den = abs(term) * a2, den * step
+        if k * b >= 2 * abs(a) and scale * nxt_num <= nxt_den:
+            mid = num * step
+            raw = Enclosure(Fraction(mid - 2 * nxt_num, nxt_den),
+                            Fraction(mid + 2 * nxt_num, nxt_den))
             return raw.intersect(Enclosure(-1, 1))
 
 
 def sin_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     """Enclosure of sin(q) of width <= 10**-digits (no argument reduction;
-    intended for desk-scale |q|)."""
+    intended for desk-scale |q|).  The Taylor series is summed in integers
+    over one common denominator, as for cos and exp."""
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(0)
@@ -224,20 +230,28 @@ def _atan_inverse_integer(m: int, digits: int) -> Enclosure:
     # consecutive partial sums bracket the limit, and those brackets are
     # nested as more terms are taken, which keeps higher-precision
     # enclosures inside lower-precision ones.
-    target = _target(digits)
-    x = Fraction(1, m)
-    total = Fraction(0)
-    power = x
-    j = 0
-    # Termination: nxt <= m^-(2j+1) shrinks by the factor 1/m^2 per step.
+    #
+    # The partial sum through the term of index i - 2 is N / D over the
+    # common denominator D = m^(i-2) (1*3*...*(i-2)), odd i.  The next term
+    # +-1 / (i m^i) is +-odd / (D m^2 i) with odd = 1*3*...*(i-2), so the
+    # loop runs in integers and only the returned endpoints become
+    # Fractions: the same rationals as a Fraction loop.
+    #
+    # Termination: the next term's denominator is i m^i >= i, and i grows
+    # by 2 per step, so it reaches 10^digits.
+    scale = 10**digits
+    m2 = m * m
+    num, den, odd, power = 1, m, 1, m  # N, D, 1*3*...*(i-2), m^(i-2)
+    i, sign = 3, -1  # the next term is sign / (i m^i)
     while True:
-        total += power / (2 * j + 1) * (-1) ** j
-        power *= x * x
-        j += 1
-        nxt = power / (2 * j + 1)
-        if nxt <= target:
-            follower = total + nxt * (-1) ** j
-            return Enclosure(min(total, follower), max(total, follower))
+        step = m2 * i
+        power *= m2
+        follower = num * step + sign * odd
+        if scale <= power * i:
+            total, after = Fraction(num, den), Fraction(follower, den * step)
+            return Enclosure(min(total, after), max(total, after))
+        num, den, odd = follower, den * step, odd * i
+        i, sign = i + 2, -sign
 
 
 _PI_CACHE: dict[int, Enclosure] = {}  # one entry, as _LN2_CACHE
@@ -245,7 +259,8 @@ _PI_CACHE: dict[int, Enclosure] = {}  # one entry, as _LN2_CACHE
 
 def pi_enclosure(digits: int = 12) -> Enclosure:
     """Enclosure of pi of width <= 10**-digits (Machin's identity,
-    with the alternating-series tail estimate on each arctangent)."""
+    with the alternating-series tail estimate on each arctangent).  Each
+    arctangent series is summed in integers over one common denominator."""
     value = _PI_CACHE.get(digits)
     if value is None:
         inner = digits + 2
@@ -825,8 +840,11 @@ def constants(which: str, n: int) -> Enclosure:
     if n < 1:
         raise ValueError("n must be >= 1")
     if which == "e":
-        s = sum((Fraction(1, factorial(k)) for k in range(n + 1)), Fraction(0))
-        return Enclosure(s, s + Fraction(3, factorial(n + 1)))
+        # S_k = k S_(k-1) + 1 (S_0 = 1) gives sum_(k<=n) 1/k! = S_n / n!
+        s, fact = 1, 1
+        for k in range(1, n + 1):
+            s, fact = s * k + 1, fact * k
+        return Enclosure(Fraction(s, fact), Fraction(s * (n + 1) + 3, fact * (n + 1)))
     if which == "ln2":
         from certreal.sequences import TermStream
         from certreal.series import alternating_sum_with_bound

@@ -332,3 +332,34 @@ def test_import_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == ["0", "None"]
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["constants", "e"], "powerseries", "constants"),
+    (["converge", "p-series", "--p", "2"], "series", "classify"),
+    (["taylor", "exp", "--order", "4", "--x", "1/2"], "powerseries", "remainder_enclosure"),
+    (["bernstein", "poly:x^2", "--degree", "4", "--x", "1/3"], "approx.BernsteinOperator",
+     "from_function"),
+])
+def test_text_elapsed_counts_the_work(capsys, monkeypatch, argv, module, name):
+    # a fake clock that the library call moves on by 2 s: the text report's
+    # elapsed line must include it, whenever the command builds its report
+    from types import SimpleNamespace
+
+    from certreal import cli
+
+    clock = [100.0]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    owner = cli
+    for part in module.split("."):
+        owner = getattr(owner, part)
+    work = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        clock[0] += 2
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, slow)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "elapsed: 2.000s"

@@ -4,10 +4,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certreal.core import Enclosure, approx_real
+from certreal.core import Enclosure, approx_real, nth_root_enclosure, sqrt_enclosure
 from certreal.integration import gamma
 from certreal.powerseries import (
     PowerSeries,
+    _atan_inverse_integer,
     binomial_series,
     constants,
     cos_enclosure,
@@ -319,6 +320,96 @@ def test_exp_early_exit_keeps_decreasing():
     assert exp_enclosure(-(10**6), 20).hi == F(1, 2**144)
 
 
+def _reference_sin_like(q: F, digits: int, cosine: bool) -> Enclosure:
+    """sin/cos as a plain Fraction loop, one reduction per term; the
+    integer kernel must return the same endpoints."""
+    target = F(1, 10**digits)
+    total = term = F(1) if cosine else q
+    k = 0 if cosine else 1
+    while True:
+        term = -term * q * q / ((k + 1) * (k + 2))
+        k += 2
+        total += term
+        nxt = abs(term) * q * q / ((k + 1) * (k + 2))
+        if k >= 2 * abs(q) and 4 * nxt <= target:
+            return Enclosure(total - 2 * nxt, total + 2 * nxt).intersect(Enclosure(-1, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.fractions(min_value=-24, max_value=24, max_denominator=10**4).filter(lambda q: q != 0),
+       st.integers(min_value=1, max_value=120))
+def test_sin_cos_enclosures_match_fraction_loop(q, digits):
+    for enclosure, cosine in ((sin_enclosure, False), (cos_enclosure, True)):
+        enc, ref = enclosure(q, digits), _reference_sin_like(q, digits, cosine)
+        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+
+
+def _reference_atan_inverse_integer(m: int, digits: int) -> Enclosure:
+    """atan(1/m) as a plain Fraction loop (the same endpoints as the kernel)."""
+    target = F(1, 10**digits)
+    x = F(1, m)
+    total = F(0)
+    power = x
+    j = 0
+    while True:
+        total += power / (2 * j + 1) * (-1) ** j
+        power *= x * x
+        j += 1
+        nxt = power / (2 * j + 1)
+        if nxt <= target:
+            follower = total + nxt * (-1) ** j
+            return Enclosure(min(total, follower), max(total, follower))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from([5, 239]), st.integers(min_value=2, max_value=10**4)),
+       st.integers(min_value=1, max_value=200))
+def test_atan_inverse_integer_matches_fraction_loop(m, digits):
+    enc, ref = _atan_inverse_integer(m, digits), _reference_atan_inverse_integer(m, digits)
+    assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+
+
+def test_constants_e_matches_the_factorial_sum():
+    for n in [*range(1, 80), 409, 420]:
+        s = sum((F(1, factorial(k)) for k in range(n + 1)), F(0))
+        assert constants("e", n) == Enclosure(s, s + F(3, factorial(n + 1)))
+
+
+def _fractions_built(call) -> int:
+    built = [0]
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting_new)
+    try:
+        call()
+    finally:
+        F.__new__ = new
+    return built[0]
+
+
+def test_sin_cos_pi_build_a_constant_number_of_fractions():
+    # a machine-independent counter: the series loops run in integers and
+    # build Fractions only for the returned endpoints, so the count does not
+    # grow with the number of terms (236 for sin(-11/8) at 1,000 digits,
+    # 715 + 210 for pi's two arctangents).  The Fraction loops built 2,840
+    # and 5,570 there.
+    from certreal import powerseries
+
+    def pi(digits):
+        powerseries._PI_CACHE.clear()
+        return pi_enclosure(digits)
+
+    for call in (sin_enclosure, cos_enclosure):
+        counts = [_fractions_built(lambda: call(F(-11, 8), digits)) for digits in (10, 1000)]
+        assert counts[0] == counts[1] <= 6, counts
+    counts = [_fractions_built(lambda: pi(digits)) for digits in (10, 1000)]
+    assert counts[0] == counts[1] <= 16, counts
+
+
 def _positive(bound, denominator):
     return st.fractions(min_value=0, max_value=bound, max_denominator=denominator).filter(
         lambda q: q > 0
@@ -338,7 +429,35 @@ _ORACLE_CASES = {
             lambda mp, q: mp.cos(q)),
     "pi": (None, 80, 10, lambda _, digits: pi_enclosure(digits), lambda mp, _: mp.pi),
     "gamma": (_positive(4, 10**3), 25, 10, gamma, lambda mp, q: mp.gamma(q)),
+    "sqrt": (_positive(10**6, 10**6), 80, 10, sqrt_enclosure, lambda mp, q: mp.sqrt(q)),
+    # a tuple draw passes its tail as extra arguments: here the root order n
+    "nth_root": (st.tuples(_positive(10**6, 10**6), st.integers(min_value=1, max_value=12)), 80,
+                 10, nth_root_enclosure, lambda mp, q, n: mp.root(q, n)),
+    "harmonic_number": (st.integers(min_value=1, max_value=3000).map(F), 80, 10,
+                        lambda n, digits: harmonic_number_enclosure(n.numerator, digits),
+                        lambda mp, n: mp.harmonic(n)),
+    "euler_gamma_window": (st.integers(min_value=1, max_value=3000).map(F), 80, 10,
+                           lambda n, digits: euler_gamma_window(n.numerator, digits),
+                           lambda mp, _: +mp.euler),
 }
+
+# name -> the width each enclosure guarantees, where it is not 10^-digits:
+# n ulps for H_n, and gamma's window adds 1/n and the ln width
+_ORACLE_WIDTHS = {
+    "harmonic_number": lambda n, digits: n / 10**digits,
+    "euler_gamma_window": lambda n, digits: (n + 1) / 10**digits + 1 / n,
+}
+
+
+def _assert_contains_mpmath(enc, reference, q, extra, digits, guard, width):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(2 * digits + guard):
+        x = mpmath.mpf(q.numerator) / q.denominator
+        sign, man, exp, _ = reference(mpmath, x, *extra)._mpf_
+    value = F(-man if sign else man) * F(2) ** exp
+    slack = F(1, 10 ** (2 * digits))
+    assert enc.lo - slack <= value <= enc.hi + slack
+    assert enc.width() <= width
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
@@ -347,17 +466,24 @@ _ORACLE_CASES = {
 def test_enclosure_contains_mpmath(name, data):
     """An independent reference, mpmath at twice the requested digits,
     lies inside the enclosure, and the enclosure meets the width bound."""
-    mpmath = pytest.importorskip("mpmath")
     args, max_digits, guard, enclosure, reference = _ORACLE_CASES[name]
-    q = data.draw(args) if args is not None else F(0)
+    drawn = data.draw(args) if args is not None else F(0)
+    q, *extra = drawn if isinstance(drawn, tuple) else (drawn,)
     digits = data.draw(st.integers(min_value=1, max_value=max_digits))
-    enc = enclosure(q, digits)
-    with mpmath.workdps(2 * digits + guard):
-        sign, man, exp, _ = reference(mpmath, mpmath.mpf(q.numerator) / q.denominator)._mpf_
-    value = F(-man if sign else man) * F(2) ** exp
-    slack = F(1, 10 ** (2 * digits))
-    assert enc.lo - slack <= value <= enc.hi + slack
-    assert enc.width() <= F(1, 10**digits)
+    width = _ORACLE_WIDTHS.get(name, lambda _, digits: F(1, 10**digits))(q, digits)
+    _assert_contains_mpmath(enclosure(q, *extra, digits), reference, q, extra, digits, guard,
+                            width)
+
+
+@pytest.mark.parametrize("digits", [500, 1000])
+@pytest.mark.parametrize("name, q", [("sin", F(-11, 8)), ("sin", F(20)), ("cos", F(355, 113)),
+                                     ("cos", F(-7, 3)), ("pi", F(0))])
+def test_high_precision_contains_mpmath(name, q, digits):
+    """The integer kernels at the precisions the hypothesis oracle does not
+    reach: mpmath at twice the digits lies inside, and the width is met."""
+    _, _, guard, enclosure, reference = _ORACLE_CASES[name]
+    _assert_contains_mpmath(enclosure(q, digits), reference, q, (), digits, guard,
+                            F(1, 10**digits))
 
 
 def test_constant_caches_keep_one_entry():
