@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from certreal.core import (
     Enclosure,
@@ -21,6 +21,7 @@ from certreal.core import (
     RationalLike,
     Status,
     Verdict,
+    _grid_points,
     sqrt_enclosure,
     to_rational,
 )
@@ -132,8 +133,7 @@ def uniform_deviation(
         raise ValueError("grid must have at least two points")
     f_n = fs.at(n)
     best = Fraction(0)
-    for i in range(grid + 1):
-        x = lo + (hi - lo) * Fraction(i, grid)
+    for x in _grid_points(lo, hi, grid):
         diff = f_n.enclosure_at(x, digits) - limit.enclosure_at(x, digits)
         magnitude_lower = max(diff.lo, -diff.hi, Fraction(0))
         best = max(best, magnitude_lower)
@@ -211,9 +211,7 @@ class BernsteinOperator:
         if a >= b:
             raise ValueError("need a < b")
         evaluate = f.value_at if isinstance(f, FnDescriptor) else f
-        samples = tuple(
-            to_rational(evaluate(a + (b - a) * Fraction(k, n))) for k in range(n + 1)
-        )
+        samples = tuple(to_rational(evaluate(x)) for x in _grid_points(a, b, n))
         return cls(n, samples)
 
 
@@ -379,12 +377,21 @@ class SawtoothSeries:
     def scale(n: int) -> Fraction:
         return Fraction(1, 4**n)
 
+    @staticmethod
+    def layer_numerators(p: int, q: int, upto: int) -> Iterator[int]:
+        """r_0, ..., r_upto with layer n = r_n/(q 4^n) at x = p/q (q > 0, not
+        necessarily reduced): argument reduction mod the period 2/4^n in
+        integers, r = p 4^n mod 2q, folded to 2q - r past q."""
+        residue = p % (2 * q)
+        for _ in range(upto + 1):
+            yield residue if residue <= q else 2 * q - residue
+            residue = 4 * residue % (2 * q)
+
     def layer_value(self, n: int, x: RationalLike) -> Fraction:
         """Exact layer evaluation by argument reduction mod the period."""
         x = to_rational(x)
-        m = self.scale(n)
-        t = x % (2 * m)
-        return t if t <= m else 2 * m - t
+        *_, r = self.layer_numerators(x.numerator, x.denominator, n)
+        return Fraction(r, x.denominator * 4**n)
 
     def layer_area(self, n: int, x: RationalLike) -> Fraction:
         """Exact integral of layer n over [0, x] (signed for x < 0): m^2
@@ -397,16 +404,12 @@ class SawtoothSeries:
         upto = self.level_cap if upto is None else upto
         if upto > self.level_cap:
             raise IndexError("level beyond cap")
-        # At x = p/q layer n is r/(q 4^n), with r = p 4^n mod 2q folded to
-        # 2q - r past q (`layer_value` in integers), so the sum is one
-        # integer over q 4^upto: layer n carries the weight 4^(upto - n).
+        # The sum is one integer over q 4^upto: layer n carries the weight 4^(upto - n).
         x = to_rational(x)
-        p, q = x.numerator, x.denominator
-        total, residue = 0, p % (2 * q)
-        for _ in range(upto + 1):
-            total = 4 * total + (residue if residue <= q else 2 * q - residue)
-            residue = 4 * residue % (2 * q)
-        return Fraction(total, q * 4**upto)
+        total = 0
+        for r in self.layer_numerators(x.numerator, x.denominator, upto):
+            total = 4 * total + r
+        return Fraction(total, x.denominator * 4**upto)
 
     def partial_area(self, x: RationalLike) -> Fraction:
         """Exact integral of the partial sum through the cap over [0, x]."""

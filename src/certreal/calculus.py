@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from certreal.core import Enclosure, FnDescriptor, RationalLike, to_rational
+from certreal.core import Enclosure, FnDescriptor, RationalLike, _grid_points, to_rational
 
 
 class WitnessScanInconclusive(ValueError):
@@ -225,8 +225,7 @@ def mvt_witness(
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    step = (b - a) / grid
-    xs = [a + i * step for i in range(1, grid)]
+    xs = _grid_points(a, b, grid)[1:-1]
     values = [h(x) for x in xs]
     for x, value in zip(xs, values):
         if value == 0:

@@ -28,6 +28,10 @@ from certreal.core import (
     Enclosure,
     FnDescriptor,
     Status,
+    _decimal,
+    _grid,
+    _poly_table,
+    _table_rows,
     decimal_string,
     poly_descriptor,
     rational_power_enclosure,
@@ -523,29 +527,30 @@ def cmd_sample(args) -> tuple[Report, int]:
     a, b = _fraction(getattr(args, "from")), _fraction(args.to)
     if a >= b or args.grid < 1:
         raise UsageError("need from < to and grid >= 1")
-    xs = [a + (b - a) * Fraction(i, args.grid) for i in range(args.grid + 1)]
+    digits = args.digits
+    first, step, den = _grid(a, b, args.grid)
+    xs = [first + i * step for i in range(args.grid + 1)]  # x = xs[i]/den
     if args.per_layer:
         match = re.fullmatch(r"gallery:sawtooth(?::(\d+))?", args.fn)
         if not match:
             raise UsageError("--per-layer applies to gallery:sawtooth specs only")
         levels = int(match.group(1)) if match.group(1) else 12
-        series = approx.SawtoothSeries(levels)
+        layers = approx.SawtoothSeries(levels).layer_numerators
         lines = ["x,value,layer"]
         for x in xs:
-            for level in range(levels + 1):
-                value = series.layer_value(level, x)
-                lines.append(
-                    f"{decimal_string(x, args.digits)},"
-                    f"{decimal_string(value, args.digits)},{level}"
-                )
+            x_text = _decimal(x, den, digits)
+            for level, r in enumerate(layers(x, den, levels)):
+                lines.append(f"{x_text},{_decimal(r, den * 4**level, digits)},{level}")
     else:
-        lines = ["x,value"]
-        for x in xs:
-            enc = f.enclosure_at(x, args.digits + 4)
-            lines.append(
-                f"{decimal_string(x, args.digits)},"
-                f"{decimal_string(enc.midpoint(), args.digits)}"
-            )
+        if f.poly_coeffs is not None:
+            table, m = _poly_table(f.poly_coeffs, first, step, den)
+            values = (_decimal(n, m, digits) for n in _table_rows(table))
+        elif f.eval_rat is not None:
+            values = (decimal_string(f.eval_rat(Fraction(x, den)), digits) for x in xs)
+        else:
+            values = (decimal_string(f.enclosure_at(Fraction(x, den), digits + 4).midpoint(),
+                                     digits) for x in xs)
+        lines = ["x,value", *(f"{_decimal(x, den, digits)},{v}" for x, v in zip(xs, values))]
     report = _CsvReport("sample", {"fn": args.fn, "from": str(a), "to": str(b), "grid": args.grid})
     report.status = "Converges"
     report.extras["rows"] = len(lines) - 1
@@ -643,6 +648,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         args = _parser.parse_args(argv)
+        if args.digits < 0:
+            raise UsageError("--digits must be >= 0")
         report, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -38,13 +38,16 @@ def to_rational(value: RationalLike) -> Fraction:
 
 def decimal_string(value: Fraction, digits: int) -> str:
     """Round-toward-zero decimal rendering with `digits` fractional digits."""
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    scaled = (value.numerator * 10**digits) // value.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    return _decimal(value.numerator, value.denominator, digits)
+
+
+def _decimal(num: int, den: int, digits: int) -> str:
+    """`decimal_string` of num/den (den > 0, not necessarily reduced), in integers."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    whole, frac = divmod(abs(num) * 10**digits // den, 10**digits)
+    sign = "-" if num < 0 else ""
+    return f"{sign}{whole}.{str(frac).zfill(digits)}" if digits else f"{sign}{whole}"
 
 
 @dataclass(frozen=True)
@@ -303,12 +306,56 @@ class FnDescriptor:
         return out
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Horner evaluation of ascending coefficients at x, exactly."""
-    acc = Fraction(0)
+def _horner(coeffs: Sequence[Fraction], p: int, q: int) -> tuple[int, int]:
+    """(N, M) with sum c_i (p/q)^i = N/M for q > 0, by Horner's rule in
+    integers: on the numerators c_i L (L the lcm of the coefficients'
+    denominators), N = sum c_i L p^i q^(n-i) over M = L q^n (no
+    coefficients: 0/1).  Neither p/q nor N/M need be reduced."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    acc, qk = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * p + c.numerator * (den // c.denominator) * qk
+        qk *= q
+    return acc, den * (qk // q or 1)
+
+
+def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Horner evaluation of ascending coefficients at x, exactly: one Fraction."""
+    return Fraction(*_horner(coeffs, x.numerator, x.denominator))
+
+
+def _grid(a: Fraction, b: Fraction, n: int) -> tuple[int, int, int]:
+    """(first, step, den) with a + (b - a)·i/n = (first + i·step)/den."""
+    d = math.lcm(a.denominator, b.denominator)
+    first = a.numerator * (d // a.denominator)
+    return n * first, b.numerator * (d // b.denominator) - first, n * d
+
+
+def _grid_points(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
+    """a + (b - a)·i/n for i = 0, ..., n, each one Fraction built from integers."""
+    first, step, den = _grid(a, b, n)
+    return [Fraction(first + i * step, den) for i in range(n + 1)]
+
+
+def _poly_table(coeffs: Sequence[Fraction], first: int, step: int, den: int) -> tuple[list[int], int]:
+    """([D^0 N(0), ..., D^n N(0)], M): the forward differences of the
+    numerators N(i) of p((first + i·step)/den) over their common
+    denominator M, from n + 1 Horner values (Knuth, TAOCP 4.6.4)."""
+    values = [_horner(coeffs, first + i * step, den) for i in range(len(coeffs))]
+    row, table = [n for n, _ in values], []
+    while row:
+        table.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    return table, values[0][1]
+
+
+def _table_rows(table: list[int]) -> Iterator[int]:
+    """N(0), N(1), ... from a `_poly_table`, stepped in place: D^n N is
+    constant, so each further value costs n integer additions."""
+    while True:
+        yield table[0]
+        for j in range(len(table) - 1):
+            table[j] += table[j + 1]
 
 
 def _quadratic_rational_roots(c0: Fraction, c1: Fraction, c2: Fraction):

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
+from math import comb
 from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
@@ -25,7 +25,10 @@ from certreal.core import (
     Status,
     Verdict,
     _cut_points,
+    _grid,
     _grid_ends,
+    _grid_points,
+    _poly_table,
     _round_out,
     rational_power_enclosure,
     to_rational,
@@ -75,8 +78,7 @@ def regular_partition(a: RationalLike, b: RationalLike, k: int) -> Partition:
         raise ValueError("need a < b")
     if k < 1:
         raise ValueError("need k >= 1")
-    step = (b - a) / k
-    return Partition(tuple(a + i * step for i in range(k)) + (b,))
+    return Partition(tuple(_grid_points(a, b, k)))
 
 
 @dataclass(frozen=True)
@@ -379,17 +381,15 @@ def _poly_darboux(
     Newton's formula p(u + ih) = sum_j C(i, j) D^j p(u), D the forward
     difference of step h = (v-u)/k, sums to the left sum
     sum_(i<k) p(u + ih) = sum_(j<=deg p) D^j p(u) C(k, j+1); the right sum
-    drops p(u) and adds p(v).
+    drops p(u) and adds p(v).  The D^j p(u) come from `_poly_table`, as
+    integers over one denominator.
     """
     p_u, p_v = f.value_at(u), f.value_at(v)
     swing = abs(p_v - p_u)
     k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
     h = (v - u) / k
-    diffs = [f.value_at(u + i * h) for i in range(len(f.poly_coeffs))]
-    left = Fraction(0)
-    for j in range(len(f.poly_coeffs)):
-        left += diffs[0] * comb(k, j + 1)
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    diffs, den = _poly_table(f.poly_coeffs, *_grid(u, v, k))
+    left = Fraction(sum(d * comb(k, j + 1) for j, d in enumerate(diffs)), den)
     lower, upper = h * left, h * (left + p_v - p_u)
     if direction == "decreasing":
         lower, upper = upper, lower
@@ -453,18 +453,17 @@ def _running_darboux(
         end_lo, end_hi = v_lo, u_hi
     else:
         end_lo, end_hi = u_lo, v_hi
-    den = lcm(u.denominator, v.denominator)
-    first, span = int(u * den), int((v - u) * den)
     g_lo, g_hi, e = 0, 0, Fraction(0)
     k = 1
     while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
         h = (v - u) / k
         s_lo, s_hi = Fraction(g_lo, scale) + e, Fraction(g_hi, scale) + e
         yield k, h * (end_lo + s_lo - swing), h * (end_hi + s_hi + swing), outer
-        x = 2 * k * first + span
+        x, step, den = _grid(u, v, 2 * k)  # midpoints: the odd i
         for _ in range(k):
-            lo, hi = _raw_bounds(f, Fraction(x, 2 * k * den), digits)
-            x += 2 * span
+            x += step
+            lo, hi = _raw_bounds(f, Fraction(x, den), digits)
+            x += step
             if lo == hi and scale % lo.denominator:
                 e += lo  # exact, off the grid
             else:

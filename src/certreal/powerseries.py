@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Optional
 
 from certreal.core import (
@@ -701,27 +701,12 @@ class TaylorApprox:
         return _poly_eval(self.coeffs, to_rational(x) - self.center)
 
 
-def _shift_once(asc: list[Fraction], c: Fraction) -> tuple[list[Fraction], Fraction]:
-    # Synthetic division of an ascending-coefficient polynomial by (x - c):
-    # returns (quotient, remainder).
-    n = len(asc) - 1
-    if n == 0:
-        return [], asc[0]
-    quo = [Fraction(0)] * n
-    quo[n - 1] = asc[n]
-    for i in range(n - 1, 0, -1):
-        quo[i - 1] = asc[i] + c * quo[i]
-    return quo, asc[0] + c * quo[0]
-
-
 def _recentre(coeffs: tuple[Fraction, ...], x0: Fraction) -> tuple[Fraction, ...]:
-    """Rewrite sum a_i x^i as sum b_k (x - x0)^k by repeated division."""
-    work = list(coeffs)
-    out = []
-    while work:
-        work, rem = _shift_once(work, x0)
-        out.append(rem)
-    return tuple(out)
+    """Rewrite sum a_i x^i as sum b_k (x - x0)^k: b_k = sum_(i>=k) a_i C(i, k) x0^(i-k)."""
+    return tuple(
+        sum((a * comb(i, k) * x0 ** (i - k) for i, a in enumerate(coeffs[k:], k)), Fraction(0))
+        for k in range(len(coeffs))
+    )
 
 
 def taylor_poly(

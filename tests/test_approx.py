@@ -198,6 +198,25 @@ def test_sawtooth_integer_sums_equal_the_layer_sums():
                 assert series.partial_value(x, upto) == layers
 
 
+def _reference_layer_value(n, x):
+    """The Fraction `%` reduction that the integer fold of `layer_value`
+    replaced, kept as the reference for its values."""
+    m = F(1, 4**n)
+    t = x % (2 * m)
+    return t if t <= m else 2 * m - t
+
+
+@given(st.fractions(max_denominator=10**5), st.integers(0, 14))
+def test_sawtooth_layer_fold_equals_the_fraction_reduction(x, upto):
+    series = SawtoothSeries(upto)
+    layers = [_reference_layer_value(n, x) for n in range(upto + 1)]
+    assert [series.layer_value(n, x) for n in range(upto + 1)] == layers
+    assert series.partial_value(x) == sum(layers, F(0))
+    # an unreduced x = p/q gives the same layers
+    p, q = x.numerator * 3, x.denominator * 3
+    assert [F(r, q * 4**n) for n, r in enumerate(series.layer_numerators(p, q, upto))] == layers
+
+
 def test_sawtooth_layers_and_truncation():
     series = SawtoothSeries(10)
     assert series.partial_value(0) == 0

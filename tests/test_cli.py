@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from certreal.approx import SawtoothSeries
 from certreal.cli import main, parse_polynomial, resolve_function
 from fractions import Fraction as F
 
@@ -122,6 +126,135 @@ def test_sample_csv(capsys):
     assert lines[0] == "x,value"
     assert len(lines) == 6
     assert lines[1] == "0.000000,0.000000"
+
+
+def _reference_decimal(value, digits):
+    """The Fraction `decimal_string` that the integer rendering replaced."""
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    whole, frac = divmod(value.numerator * 10**digits // value.denominator, 10**digits)
+    return f"{sign}{whole}" if digits == 0 else f"{sign}{whole}.{str(frac).zfill(digits)}"
+
+
+def _reference_sample(spec, a, b, grid, digits, per_layer=False):
+    """The Fraction loop of `cmd_sample` before its grid and values went
+    integer, kept as the reference for its CSV."""
+    f = resolve_function(spec)
+    xs = [a + (b - a) * F(i, grid) for i in range(grid + 1)]
+    if per_layer:
+        levels = int(spec.split(":")[2])
+        series = SawtoothSeries(levels)
+        return "\n".join(["x,value,layer"] + [
+            f"{_reference_decimal(x, digits)},"
+            f"{_reference_decimal(series.layer_value(level, x), digits)},{level}"
+            for x in xs for level in range(levels + 1)])
+    lines = ["x,value"]
+    for x in xs:
+        enc = f.enclosure_at(x, digits + 4)
+        lines.append(f"{_reference_decimal(x, digits)},{_reference_decimal(enc.midpoint(), digits)}")
+    return "\n".join(lines)
+
+
+def _quiet(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _poly_spec(coeffs):
+    return "poly:" + "".join(
+        f"{'-' if c < 0 else '+'}{abs(c.numerator)}/{c.denominator}x^{i}"
+        for i, c in enumerate(coeffs))
+
+
+def _sample_argv(spec, a, b, grid, digits):
+    return ("sample", spec, f"--from={a}", f"--to={b}", "--grid", str(grid), "--digits", str(digits))
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=10**7)
+spans = st.fractions(min_value=F(1, 10**5), max_value=3, max_denominator=10**5)
+specs = st.one_of(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+             min_size=1, max_size=5).map(_poly_spec),
+    st.integers(0, 10).map(lambda levels: f"gallery:sawtooth:{levels}"),
+    st.tuples(small, st.fractions(min_value=F(1, 8), max_value=3, max_denominator=100)).map(
+        lambda t: f"gallery:smoothstep:{t[0]}:{t[0] + t[1]}"),
+    st.just("gallery:bump"),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(specs, small, spans, st.integers(1, 64), st.integers(0, 20))
+def test_sample_csv_equals_the_fraction_loop(spec, a, span, grid, digits):
+    b = a + span
+    code, out = _quiet(*_sample_argv(spec, a, b, grid, digits))
+    assert code == 0
+    assert out == _reference_sample(spec, a, b, grid, digits) + "\n"
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 8), small, spans, st.integers(1, 32), st.integers(0, 20))
+def test_sample_per_layer_equals_the_fraction_loop(levels, a, span, grid, digits):
+    spec = f"gallery:sawtooth:{levels}"
+    code, out = _quiet(*_sample_argv(spec, a, a + span, grid, digits), "--per-layer")
+    assert code == 0
+    assert out == _reference_sample(spec, a, a + span, grid, digits, per_layer=True) + "\n"
+
+
+def test_sample_renders_tiny_negatives_as_minus_zero():
+    a, b = F(-1, 10**11), F(1)
+    code, out = _quiet(*_sample_argv("poly:x-1/1000000000", a, b, 2, 3))
+    assert code == 0
+    assert out.splitlines()[1] == "-0.000,-0.000"
+    assert out == _reference_sample("poly:x-1/1000000000", a, b, 2, 3) + "\n"
+
+
+def _fractions_built(*argv):
+    built = [0]
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    _quiet(*argv)  # the parser is built on the first call
+    F.__new__ = staticmethod(counting_new)
+    try:
+        code, _ = _quiet(*argv)
+    finally:
+        F.__new__ = new
+    assert code == 0
+    return built[0]
+
+
+def test_polynomial_sample_builds_fractions_for_the_spec_only():
+    # a machine-independent counter: the grid rows of a polynomial come from
+    # an integer forward-difference table, so the Fractions built are those
+    # of parsing the spec and its descriptor, whatever the grid size (the
+    # Fraction loop built about 17 per row)
+    def built(grid):
+        return _fractions_built(*_sample_argv("poly:1/2x^3-3/4x^2-1/8x+3/5", F(-1, 4), F(7, 4),
+                                              grid, 12), "--json")
+
+    assert built(1) == built(16) == built(512) <= 100
+
+
+@pytest.mark.parametrize("spec", ["gallery:sawtooth:10", "gallery:unit-step", "x^3"])
+def test_exact_oracle_sample_builds_at_most_three_fractions_per_row(spec):
+    def built(grid):
+        return _fractions_built(*_sample_argv(spec, F(-3, 8), F(11, 8), grid, 12), "--json")
+
+    assert built(256) - built(128) <= 3 * 128
+
+
+def test_negative_digits_is_a_usage_error(capsys):
+    for argv in (["sample", "poly:x^2", "--digits", "-1"],
+                 ["constants", "e", "--terms", "5", "--digits", "-1"],
+                 ["integrate", "poly:x^2", "0", "1", "--digits", "-3", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "usage error: --digits must be >= 0" in err
 
 
 def test_rearrange_greedy_summary(capsys):
@@ -363,3 +496,24 @@ def test_text_elapsed_counts_the_work(capsys, monkeypatch, argv, module, name):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[-1] == "elapsed: 2.000s"
+
+
+def test_import_footprint_leaves_out_heavy_modules():
+    # importing hashlib alone raised a run's peak RSS by about 16%, and
+    # every import adds to the start-up time of each CLI process
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import certreal
+
+    src = str(Path(certreal.__file__).resolve().parents[1])
+    heavy = ("hashlib", "_hashlib", "ssl", "subprocess", "mpmath", "hypothesis")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import certreal.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

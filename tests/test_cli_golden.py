@@ -86,6 +86,7 @@ ARGVS = [
     ["constants", "pi-over-4", "--terms", "1000"],
     ["constants", "euler-gamma", "--terms", "1000"],
     ["constants", "bogus"],
+    ["constants", "e", "--terms", "5", "--digits", "-1"],
     ["taylor", "sin", "--order", "3", "--x", "1/2", "--deriv-range", "0,1"],
     ["taylor", "exp", "--order", "5", "--x", "1/3"],
     ["taylor", "cos", "--order", "4", "--x", "1"],
@@ -103,6 +104,7 @@ ARGVS = [
     ["sample", "gallery:dirichlet", "--grid", "4"],
     ["sample", "x^1/2", "--from", "1", "--to", "2", "--grid", "4"],
     ["sample", "gallery:bump", "--per-layer"],
+    ["sample", "poly:x^2", "--digits", "-1"],
 ]
 
 

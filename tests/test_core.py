@@ -2,13 +2,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from certreal.approx import gallery
 
 from certreal.core import (
     Enclosure,
+    _grid_points,
+    _poly_eval,
+    _poly_table,
     _round_out,
+    _table_rows,
     approx_real,
     MissingMetadataError,
     decimal_string,
@@ -222,3 +226,79 @@ def test_decimal_string():
     assert decimal_string(F(89, 12), 4) == "7.4166"
     assert decimal_string(F(-1, 3), 3) == "-0.333"
     assert decimal_string(F(5), 0) == "5"
+    assert decimal_string(F(-1, 10**9), 4) == "-0.0000"
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        decimal_string(F(1, 3), -1)
+
+
+def _reference_poly_eval(coeffs, x):
+    """The Fraction Horner loop that the integer `_poly_eval` replaced, kept
+    as the reference for its values."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# zero, negative and large-denominator coefficients
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_denominator=10**3),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**40)),
+)
+points = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_denominator=10**4),
+    st.builds(lambda n, k: F(n, 2**k), st.integers(-(10**60), 10**60), st.integers(0, 200)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(coefficients, min_size=0, max_size=9), points)
+def test_integer_horner_equals_the_fraction_loop(coeffs, x):
+    value = _poly_eval(coeffs, x)
+    assert type(value) is F
+    assert value == _reference_poly_eval(coeffs, x)
+
+
+@given(st.integers(0, 40), st.fractions(min_value=-3, max_value=3, max_denominator=1000))
+def test_integer_horner_on_taylor_polynomials(order, x):
+    coeffs = [F(1, math.factorial(k)) for k in range(order + 1)]
+    alternating = [c * (-1) ** k for k, c in enumerate(coeffs)]
+    for cs in (coeffs, alternating):
+        assert _poly_eval(cs, x) == _reference_poly_eval(cs, x)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(coefficients, min_size=1, max_size=9), st.integers(-(10**6), 10**6),
+       st.integers(-(10**4), 10**4), st.integers(1, 10**6), st.integers(1, 40))
+def test_forward_difference_rows_equal_direct_evaluation(coeffs, first, step, den, count):
+    table, m = _poly_table(coeffs, first, step, den)
+    assert len(table) == len(coeffs)
+    rows = _table_rows(table)
+    for i in range(count):
+        assert F(next(rows), m) == _reference_poly_eval(coeffs, F(first + i * step, den))
+
+
+@given(rationals, rationals, st.integers(1, 64))
+def test_grid_points_are_the_regular_grid(a, b, n):
+    assert _grid_points(a, b, n) == [a + (b - a) * F(i, n) for i in range(n + 1)]
+
+
+def test_poly_eval_builds_one_fraction_per_call():
+    coeffs = [F(3, 5), F(-1, 8), F(-3, 4), F(1, 2)]
+    xs = [F(k, 2**175 + 1) for k in range(1, 21)]
+    built = [0]
+    new = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting_new)
+    try:
+        values = [_poly_eval(coeffs, x) for x in xs]
+    finally:
+        F.__new__ = new
+    assert built[0] == len(xs)
+    assert values == [_reference_poly_eval(coeffs, x) for x in xs]

@@ -9,6 +9,7 @@ from certreal.integration import gamma
 from certreal.powerseries import (
     PowerSeries,
     _atan_inverse_integer,
+    _recentre,
     binomial_series,
     constants,
     cos_enclosure,
@@ -173,6 +174,22 @@ def test_taylor_poly_tag_recentre():
     approximation = taylor_poly("poly", 1, 2, radius=2, coeffs=(0, 0, 1))  # x^2 at x0=1
     assert approximation.coeffs == (1, 2, 1)
     assert remainder_enclosure(approximation, F(5, 2)) == Enclosure.point(F(25, 4))
+
+
+def _reference_recentre(coeffs, x0):
+    """Repeated synthetic division by (x - x0), which the binomial shift of
+    `_recentre` replaced, kept as the reference for its coefficients."""
+    work, out = list(coeffs), []
+    while work:
+        for i in range(len(work) - 2, -1, -1):
+            work[i] += x0 * work[i + 1]
+        out.append(work.pop(0))
+    return tuple(out)
+
+
+@given(st.lists(st.fractions(max_denominator=1000), max_size=9), st.fractions(max_denominator=100))
+def test_recentre_equals_repeated_division(coeffs, x0):
+    assert _recentre(tuple(coeffs), x0) == _reference_recentre(coeffs, x0)
 
 
 def test_taylor_matches_derivatives_at_center():
