@@ -210,6 +210,8 @@ class BernsteinOperator:
         a, b = to_rational(interval[0]), to_rational(interval[1])
         if a >= b:
             raise ValueError("need a < b")
+        if n < 1:  # before the grid, which divides by n
+            raise ValueError("degree must be >= 1")
         evaluate = f.value_at if isinstance(f, FnDescriptor) else f
         samples = tuple(to_rational(evaluate(x)) for x in _grid_points(a, b, n))
         return cls(n, samples)

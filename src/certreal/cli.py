@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from certreal import approx, integration, powerseries, series
 from certreal.core import (
@@ -65,6 +65,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational: {text!r} ({exc})")
+
+
+def _pair(flag: str, text: str, convert: Callable[[str], object], kind: str) -> tuple:
+    """The two comma-separated values of a flag such as --interval A,B."""
+    parts = text.split(",")
+    if len(parts) == 2:
+        try:
+            return convert(parts[0]), convert(parts[1])
+        except ValueError:  # UsageError included
+            pass
+    raise UsageError(f"{flag} needs two comma-separated {kind}, got {text!r}")
 
 
 _TERM_RE = re.compile(
@@ -473,10 +484,11 @@ def cmd_taylor(args) -> tuple[Report, int]:
 
 def cmd_bernstein(args) -> tuple[Report, int]:
     f = resolve_function(args.fn)
+    if args.degree < 1:
+        raise UsageError("--degree must be >= 1")
     interval = (Fraction(0), Fraction(1))
     if args.interval:
-        a_text, b_text = args.interval.split(",")
-        interval = (_fraction(a_text), _fraction(b_text))
+        interval = _pair("--interval", args.interval, _fraction, "rationals")
     op = approx.BernsteinOperator.from_function(f, args.degree, interval)
     report = Report(
         "bernstein",
@@ -502,8 +514,8 @@ def cmd_rearrange(args) -> tuple[Report, int]:
          "pattern": args.pattern, "target": args.target},
     )
     if args.pattern:
-        p_text, q_text = args.pattern.split(",")
-        result = series.rearrange_pattern(handle, int(p_text), int(q_text), args.steps)
+        p, q = _pair("--pattern", args.pattern, int, "integers")
+        result = series.rearrange_pattern(handle, p, q, args.steps)
         report.extras["last_partial_sums"] = [
             decimal_string(v, 12) for v in result.partial_sums[-3:]
         ]

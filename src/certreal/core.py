@@ -592,10 +592,37 @@ def rational_power_enclosure(x: RationalLike, exponent: RationalLike, digits: in
         raise ValueError("base must be positive")
     if x == 0:
         return Enclosure.point(0)
+    if exponent.denominator > digits + 16:
+        return _power_by_logarithm(x, exponent, digits)
     powered = x**exponent.numerator
     if exponent.denominator == 1:
         return Enclosure.point(powered)
     return nth_root_enclosure(powered, exponent.denominator, digits)
+
+
+def _power_by_logarithm(x: Fraction, exponent: Fraction, digits: int) -> Enclosure:
+    """x**exponent as exp(exponent ln x), of width <= 10**-digits.
+
+    The q-th root of x^p takes a radicand of about 3.3 q digits bits; the
+    cost of this route does not grow with q.
+    """
+    from certreal import powerseries as ps  # local import: core stays leaf-light
+
+    # With s = exponent, x^s <= 2^m for m = ceil(|s| (|bits(num) -
+    # bits(den)| + 1)).  y = s ln x, rounded outward onto the 10^-inner
+    # grid, is at most (|s| + 2) 10^-inner wide, so e^(y.hi) <= 2 x^s and
+    # the exp bracket is at most (2^(m+1) (|s| + 2) + 2) 10^-inner wide;
+    # its outward rounding adds 2 10^-inner.  That is below c 10^-inner
+    # <= 10^-(digits+1).
+    span = abs(x.numerator.bit_length() - x.denominator.bit_length()) + 1
+    m = -(-abs(exponent.numerator) * span // exponent.denominator)
+    c = (1 << (m + 2)) * (-(-abs(exponent.numerator) // exponent.denominator) + 3)
+    inner = digits + len(str(c)) + 1
+    scale = 10**inner
+    ln_x = ps.ln_enclosure(x, inner).scale(exponent)
+    y = Enclosure(*_round_out(ln_x.lo, ln_x.hi, scale))
+    power = ps.exp_enclosure_over(y, inner)
+    return Enclosure(*_round_out(power.lo, power.hi, scale))
 
 
 # --- certified elementary constants / functions (dispatch) ----------------

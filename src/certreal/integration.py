@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
@@ -713,45 +713,79 @@ def _improper_trace_only(spec: ImproperSpec, max_steps: int, digits: int) -> Ver
 
 # --- the gamma function ------------------------------------------------------
 
-def _lower_incomplete_series(s: Fraction, x: Fraction, budget: Fraction, digits: int) -> Enclosure:
-    """Enclosure of the integral of t^(s-1) e^-t over (0, x], x >= 2.
+def _lower_incomplete_series(s: Fraction, x: int, budget: Fraction, digits: int) -> Enclosure:
+    """Enclosure of the integral of t^(s-1) e^-t over (0, x], for s in
+    (0, 1] and an integer x >= 2, of width <= 5/4 budget plus x^s's
+    rounding times the series.
 
     Integrating the exponential series term by term gives
     x^s * sum_k (-x)^k / (k! (s+k)); after summing indices 0..K the
     exchange error is at most 2 x^(K+1) / ((K+1)! (s+K+1)) (valid once
     K+2 >= 2x), i.e. 2 |next power term| / (s+K+1).
     """
-    total = Fraction(0)
+    # The series runs on the grid 2^-B.  P_k = floor(2^B x^k / k!) with an
+    # integer error bound, 2^B x^k / k! in [P_k, P_k + e_k]: P_0 = 2^B,
+    # e_0 = 0, and P_(k+1) = floor(P_k x / (k+1)) gives
+    # e_(k+1) = ceil(e_k x / (k+1)) + 1.  With s = p/q, term k is
+    # (-1)^k q 2^B x^k/k! / (p + kq), added to the sum as its floor/ceil
+    # pair, so the sum scaled by 2^B lies in [lo, hi].
+    #
+    # Width: e_k <= 2 sum_(1<=j<=k) a_k/a_j for a_k = x^k/k!, and each
+    # a_k/a_j is a product of consecutive factors x/i, at most x^x/x! < e^x;
+    # so e_k <= 2k e^x.  As q/(p+kq) < 1/k, term k >= 1 adds at most
+    # e_k/k + 2 <= 2e^x + 2 to hi - lo, and term 0 at most 1.  Through index
+    # K that is at most 4K e^x - 2, and the two rounded-up tails add 2.
+    # B = guard + bits(k_max) + 2, with guard = bits(4x/budget) +
+    # ceil(1.443 x) (log2 e < 1.443), gives 2^B > 16 x k_max e^x / budget, which keeps the
+    # rounding under budget/(4x), and under budget/4 after the product with
+    # x^s <= x.  The e^x is the cancellation of the alternating terms, whose
+    # largest is about e^x.
+    #
+    # Termination: past k = 2x the factor x/(k+1) is <= 1/2, so P_k and
+    # e_k - 4 at least halve per step, and the stopping test holds by
+    # k = 2x + guard + 2 <= k_max; so K <= k_max.
+    p, q = s.numerator, s.denominator
+    bn, bd = budget.numerator, budget.denominator
+    guard = (4 * x * bd // bn).bit_length() + (1443 * x + 999) // 1000
+    k_max = 2 * x + guard + 3
+    one = 1 << (guard + k_max.bit_length() + 2)
+    power, err = one, 0  # P_k, e_k
+    lo = hi = 0
     k = 0
-    power = Fraction(1)  # (-x)^k / k!
-    # Termination: x^k / k! tends to 0, so the bound drops below the budget.
     while True:
-        total += power / (s + k)
+        den = p + k * q
+        low, high = q * power // den, -(-q * (power + err) // den)
+        if k % 2:
+            lo, hi = lo - high, hi - low
+        else:
+            lo, hi = lo + low, hi + high
         k += 1
-        power = power * (-x) / k
-        bound = 2 * abs(power) / (s + k)
-        # x^s <= x for s <= 1, so dividing the budget by x covers the final
-        # multiplication by the x^s enclosure.
-        if k + 1 >= 2 * x and bound <= budget / (2 * x):
-            series = Enclosure.from_midrad(total, bound)
-            break
-    x_pow_s = rational_power_enclosure(x, s, digits)
-    return x_pow_s.times(series)
+        power, err = power * x // k, -(-err * x // k) + 1
+        den = p + k * q
+        # the exchange bound 2 q (P_k + e_k) / (2^B (p + kq)) <= budget/(2x)
+        if k + 1 >= 2 * x and 4 * x * q * (power + err) * bd <= bn * den * one:
+            tail = -(-2 * q * (power + err) // den)
+            series = Enclosure(Fraction(lo - tail, one), Fraction(hi + tail, one))
+            return rational_power_enclosure(x, s, digits).times(series)
 
 
 def gamma(s: RationalLike, digits: int = 6) -> Enclosure:
     """Enclosure of the gamma function at rational s > 0, width <= 10**-digits.
 
-    The recursion gamma(s+1) = s * gamma(s) reduces to s in (0, 1]; there,
-    gamma(s) is the lower incomplete part over (0, T] (series, exact
-    rationals) plus a tail below 2 e^(-T/2), since t^(s-1) e^(-t/2) <= 1
-    for t >= 1 when s <= 1.
+    A positive integer s gives the exact point (s-1)!.  Otherwise the
+    recursion gamma(s+1) = s * gamma(s) reduces to s in (0, 1]; there,
+    gamma(s) is the lower incomplete part over (0, T] (a fixed-point
+    series) plus a tail below 2 e^(-T/2), since t^(s-1) e^(-t/2) <= 1
+    for t >= 1 when s <= 1.  The endpoints are rounded outward onto the
+    10^-(digits+2) grid.
     """
     from certreal.powerseries import exp_enclosure
 
     s = to_rational(s)
     if s <= 0:
         raise ValueError("gamma needs s > 0")
+    if s.denominator == 1:
+        return Enclosure.point(factorial(s.numerator - 1))
     factor = Fraction(1)
     while s > 1:
         s -= 1
@@ -760,17 +794,21 @@ def gamma(s: RationalLike, digits: int = 6) -> Enclosure:
     scaled_target = target / factor if factor > 1 else target
     inner_digits = _digits_for(scaled_target, 4)
     for _ in range(4):
-        big_t = Fraction(2)
+        big_t = 2
         # Termination: e^(-T/2) tends to 0 and the enclosure is at most
         # 10^-inner_digits <= scaled_target / 10^4 wider, so 2 * hi falls
         # below scaled_target / 4 once e^(-T/2) < scaled_target / 9.
         while True:
-            tail_hi = 2 * exp_enclosure(-big_t / 2, inner_digits).hi
+            tail_hi = 2 * exp_enclosure(Fraction(-big_t, 2), inner_digits).hi
             if tail_hi <= scaled_target / 4:
                 break
             big_t *= 2
+        # widths: the series 5/8 scaled_target, the tail 1/4 of it, and
+        # x^s's rounding times the series; the outward rounding adds
+        # 2 * 10^-(digits+2) = target/50
         core = _lower_incomplete_series(s, big_t, scaled_target / 2, inner_digits)
         enclosure = (core + Enclosure(Fraction(0), tail_hi)).scale(factor)
+        enclosure = Enclosure(*_round_out(enclosure.lo, enclosure.hi, 10 ** (digits + 2)))
         if enclosure.width() <= target:
             return enclosure
         inner_digits += 6  # x^s rounding dominated; retry tighter

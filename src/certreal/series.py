@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Union
 
 from certreal.core import (
@@ -555,31 +556,38 @@ def alternating_sum_with_bound(b: TermStream, n: int) -> Enclosure:
     The bracket |s - s_n| <= b_{n+1} is intersected with the even/odd
     partial-sum oscillation bracket.
     """
+    # The partial sum S_k is num / den over the running common denominator
+    # den = lcm of the denominators so far, and the magnitudes are compared
+    # by cross-multiplication: integers only inside the loop, and Fractions
+    # only for S_n, S_(n-1) and the bracket, the same rationals as a
+    # Fraction loop.
     if n < 1:
         raise ValueError("need at least one term")
     previous = None
-    total = Fraction(0)
-    even_sum = odd_sum = None
+    num, den = 0, 1
     for k in range(1, n + 1):
         bk = b.term(b.n0 + k - 1)
         if not isinstance(bk, Fraction):
             raise ValueError("alternating bound needs exact rational magnitudes")
-        if bk < 0:
+        a, d = bk.numerator, bk.denominator
+        if a < 0:
             raise ValueError(f"magnitude term b_{k} = {bk} is negative")
-        if previous is not None and bk > previous:
+        if previous is not None and a * previous.denominator > previous.numerator * d:
             raise ValueError(f"magnitudes increase at index {k}: {previous} -> {bk}")
         previous = bk
-        total += bk if k % 2 == 1 else -bk
-        if k % 2 == 0:
-            even_sum = total
-        else:
-            odd_sum = total
+        before = num, den  # S_(k-1)
+        g = gcd(den, d)
+        term = a * (den // g)
+        num, den = num * (d // g) + (term if k % 2 == 1 else -term), den * (d // g)
     tail = b.term(b.n0 + n)
     if not isinstance(tail, Fraction) or tail < 0 or tail > previous:
         raise ValueError("tail magnitude violates the decreasing contract")
+    total = Fraction(num, den)
     bracket = Enclosure(total - tail, total + tail)
-    if even_sum is not None and odd_sum is not None:
-        bracket = bracket.intersect(Enclosure(even_sum, odd_sum))
+    if n > 1:
+        last = Fraction(*before)
+        even, odd = (total, last) if n % 2 == 0 else (last, total)
+        bracket = bracket.intersect(Enclosure(even, odd))
     return bracket
 
 

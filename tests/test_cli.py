@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from certreal.approx import SawtoothSeries
 from certreal.cli import main, parse_polynomial, resolve_function
 from fractions import Fraction as F
+from conftest import fractions_built
 
 
 def run(capsys, *argv):
@@ -211,21 +212,11 @@ def test_sample_renders_tiny_negatives_as_minus_zero():
 
 
 def _fractions_built(*argv):
-    built = [0]
-    new = F.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new.__func__(cls, *args, **kwargs)
-
     _quiet(*argv)  # the parser is built on the first call
-    F.__new__ = staticmethod(counting_new)
-    try:
+    with fractions_built() as built:
         code, _ = _quiet(*argv)
-    finally:
-        F.__new__ = new
     assert code == 0
-    return built[0]
+    return built.count
 
 
 def test_polynomial_sample_builds_fractions_for_the_spec_only():
@@ -255,6 +246,25 @@ def test_negative_digits_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "usage error: --digits must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bernstein", "x^2", "--degree", "0", "--x", "1/2"], "--degree must be >= 1"),
+    (["bernstein", "x^2", "--degree", "3", "--x", "1/2", "--interval", "1"],
+     "--interval needs two comma-separated rationals, got '1'"),
+    (["bernstein", "x^2", "--degree", "3", "--x", "1/2", "--interval", "0,a"],
+     "--interval needs two comma-separated rationals, got '0,a'"),
+    (["rearrange", "alt-harmonic", "--pattern", "1"],
+     "--pattern needs two comma-separated integers, got '1'"),
+    (["rearrange", "alt-harmonic", "--pattern", "a,b"],
+     "--pattern needs two comma-separated integers, got 'a,b'"),
+    (["rearrange", "alt-harmonic", "--pattern", "1,2,3"],
+     "--pattern needs two comma-separated integers, got '1,2,3'"),
+])
+def test_malformed_flag_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
 
 
 def test_rearrange_greedy_summary(capsys):

@@ -97,6 +97,10 @@ ARGVS = [
     ["rearrange", "alt-harmonic", "--pattern", "2,1", "--steps", "99"],
     ["rearrange", "alt-harmonic", "--target", "1/4", "--steps", "500"],
     ["rearrange", "alt-harmonic"],
+    ["bernstein", "x^2", "--degree", "0", "--x", "1/2"],
+    ["bernstein", "x^2", "--degree", "3", "--x", "1/2", "--interval", "1"],
+    ["rearrange", "alt-harmonic", "--pattern", "1"],
+    ["rearrange", "alt-harmonic", "--pattern", "a,b"],
     ["sample", "gallery:sawtooth:6", "--grid", "4", "--digits", "6"],
     ["sample", "gallery:sawtooth:4", "--grid", "8", "--per-layer"],
     ["sample", "gallery:smoothstep:0:1", "--grid", "16"],

@@ -24,6 +24,7 @@ from certreal.core import (
     spot_check_metadata,
     to_rational,
 )
+from conftest import fractions_built
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -288,17 +289,7 @@ def test_grid_points_are_the_regular_grid(a, b, n):
 def test_poly_eval_builds_one_fraction_per_call():
     coeffs = [F(3, 5), F(-1, 8), F(-3, 4), F(1, 2)]
     xs = [F(k, 2**175 + 1) for k in range(1, 21)]
-    built = [0]
-    new = F.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    F.__new__ = staticmethod(counting_new)
-    try:
+    with fractions_built() as built:
         values = [_poly_eval(coeffs, x) for x in xs]
-    finally:
-        F.__new__ = new
-    assert built[0] == len(xs)
+    assert built.count == len(xs)
     assert values == [_reference_poly_eval(coeffs, x) for x in xs]

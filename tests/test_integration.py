@@ -16,12 +16,14 @@ from certreal.core import (
     rational_power_enclosure,
     sqrt_enclosure,
 )
+from certreal import core
 from certreal.integration import (
     Comparison,
     ImproperSpec,
     MissingMetadataError,
     Partition,
     _digits_for,
+    _lower_incomplete_series,
     _raw_bounds,
     _running_darboux,
     darboux,
@@ -33,6 +35,7 @@ from certreal.integration import (
     riemann_sum,
     substitution_check,
 )
+from conftest import fractions_built
 
 PARABOLA = poly_descriptor([0, 6, -1], name="6x-x^2")
 GOLDEN_PARTITION = Partition((0, 2, 3, 5, 6))
@@ -360,6 +363,92 @@ def test_gamma_rejects_nonpositive():
         gamma(0)
 
 
+def _reference_lower_incomplete_series(s, x, budget, digits):
+    """The Fraction loop that the fixed-point `_lower_incomplete_series`
+    replaced, kept as the reference for its enclosures."""
+    x = F(x)
+    total = F(0)
+    k = 0
+    power = F(1)  # (-x)^k / k!
+    while True:
+        total += power / (s + k)
+        k += 1
+        power = power * (-x) / k
+        bound = 2 * abs(power) / (s + k)
+        if k + 1 >= 2 * x and bound <= budget / (2 * x):
+            series = Enclosure.from_midrad(total, bound)
+            break
+    return rational_power_enclosure(x, s, digits).times(series)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda s: s > 0),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=40))
+def test_lower_incomplete_series_contains_the_fraction_loop(s, log_x, digits):
+    x, budget = 2**log_x, F(1, 2 * 10**digits)
+    enc = _lower_incomplete_series(s, x, budget, digits + 4)
+    ref = _reference_lower_incomplete_series(s, x, budget, digits + 4)
+    assert enc.contains(ref)
+    # the fixed-point rounding adds at most budget/4
+    assert enc.width() <= ref.width() + budget / 4
+
+
+def _endpoint_bits(enc):
+    return max(v.bit_length() for v in (enc.lo.numerator, enc.lo.denominator,
+                                         enc.hi.numerator, enc.hi.denominator))
+
+
+@pytest.mark.parametrize("s", [F(1, 4), F(7, 4), F(15, 4), F(1, 2), F(13, 7), F(1, 1000)])
+@pytest.mark.parametrize("digits", [1, 6, 20, 45, 60])
+def test_gamma_endpoints_are_digit_sized(s, digits):
+    # the Fraction series returned 8,183-bit endpoints for gamma(1/4) at
+    # 45 digits; the result sits on the 10^-(digits+2) grid
+    enc = gamma(s, digits)
+    assert enc.width() <= F(1, 10**digits)
+    assert _endpoint_bits(enc) <= 8 * digits + 256, _endpoint_bits(enc)
+
+
+def test_gamma_builds_few_fractions():
+    # a machine-independent counter: the Fraction series built 9,366
+    with fractions_built() as built:
+        gamma(F(1, 4), 45)
+    assert built.count <= 150, built.count
+
+
+def test_gamma_at_a_positive_integer_is_the_exact_factorial():
+    assert gamma(1, 3) == Enclosure.point(1)
+    assert gamma(5) == Enclosure.point(24)
+    with fractions_built() as built:
+        assert gamma(1000, 6) == Enclosure.point(math.factorial(999))
+    assert built.count <= 8
+
+
+def test_gamma_at_a_large_root_order_builds_no_large_radicand(monkeypatch):
+    # a machine-independent counter: the bits of the radicand
+    # num * den^(n-1) * 10^(digits n) that nth_root_enclosure would hand to
+    # integer_nth_root, checked before it is built.  gamma(1/10^9) took
+    # the 10^9-th root of 2^T * 10^(digits 10^9).
+    root = core.nth_root_enclosure
+    radicand_bits = []
+
+    def counted(q, n, digits=12):
+        q = F(q)
+        radicand_bits.append(q.numerator.bit_length() + (n - 1) * q.denominator.bit_length()
+                             + math.ceil(n * digits * math.log2(10)))
+        assert radicand_bits[-1] <= 10**5, radicand_bits[-1]
+        return root(q, n, digits)
+
+    monkeypatch.setattr(core, "nth_root_enclosure", counted)
+    mpmath = pytest.importorskip("mpmath")
+    for s, digits in ((F(1, 10**9), 6), (F(10**9 + 1, 10**9), 6), (F(1, 97), 30), (F(3, 7), 20)):
+        enc = gamma(s, digits)
+        with mpmath.workdps(digits + 40):
+            value = mpmath.gamma(mpmath.mpf(s.numerator) / s.denominator)
+            assert enc.lo <= F(mpmath.nstr(value, digits + 30)) <= enc.hi
+        assert enc.width() <= F(1, 10**digits)
+    assert max(radicand_bits) <= 10**4, radicand_bits
+
+
 def test_substitution_check_closed_form():
     # integral of x sqrt(16+x^2) over [-2, 3] against (125 - 20 sqrt(20))/3
     def eval_enc(x, d):
@@ -472,20 +561,10 @@ def test_smoothstep_point_loop_builds_three_fractions_per_point():
         points.append(x)
         return f.eval_enc(x, digits)
 
-    built = [0]
-    new = F.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    F.__new__ = staticmethod(counting_new)
-    try:
+    with fractions_built() as built:
         result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
-    finally:
-        F.__new__ = new
     assert len(points) == 16385
-    assert built[0] <= 4 * len(points), built[0] / len(points)
+    assert built.count <= 4 * len(points), built.count / len(points)
     assert result.enclosure == Enclosure(F(81914999991801, 163840000000000),
                                          F(81925000008199, 163840000000000))
 

@@ -4,7 +4,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certreal.core import Enclosure, approx_real, nth_root_enclosure, sqrt_enclosure
+from certreal.core import (
+    Enclosure,
+    approx_real,
+    nth_root_enclosure,
+    rational_power_enclosure,
+    sqrt_enclosure,
+)
 from certreal.integration import gamma
 from certreal.powerseries import (
     PowerSeries,
@@ -25,6 +31,7 @@ from certreal.powerseries import (
     sin_enclosure,
     taylor_poly,
 )
+from conftest import fractions_built
 
 
 def test_radius_closed_forms():
@@ -393,19 +400,9 @@ def test_constants_e_matches_the_factorial_sum():
 
 
 def _fractions_built(call) -> int:
-    built = [0]
-    new = F.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    F.__new__ = staticmethod(counting_new)
-    try:
+    with fractions_built() as built:
         call()
-    finally:
-        F.__new__ = new
-    return built[0]
+    return built.count
 
 
 def test_sin_cos_pi_build_a_constant_number_of_fractions():
@@ -446,10 +443,21 @@ _ORACLE_CASES = {
             lambda mp, q: mp.cos(q)),
     "pi": (None, 80, 10, lambda _, digits: pi_enclosure(digits), lambda mp, _: mp.pi),
     "gamma": (_positive(4, 10**3), 25, 10, gamma, lambda mp, q: mp.gamma(q)),
+    # the fixed-point series at up to 60 digits; gamma(16) has 13 digits
+    # before the point
+    "gamma_small_denominators": (_positive(16, 7), 60, 20, gamma, lambda mp, q: mp.gamma(q)),
     "sqrt": (_positive(10**6, 10**6), 80, 10, sqrt_enclosure, lambda mp, q: mp.sqrt(q)),
     # a tuple draw passes its tail as extra arguments: here the root order n
     "nth_root": (st.tuples(_positive(10**6, 10**6), st.integers(min_value=1, max_value=12)), 80,
                  10, nth_root_enclosure, lambda mp, q, n: mp.root(q, n)),
+    # a root order q > digits + 16 goes through exp(s ln x)
+    "rational_power_large_q": (
+        st.tuples(_positive(10**6, 10**6),
+                  st.integers(min_value=97, max_value=10**9).flatmap(
+                      lambda q: st.integers(min_value=-3 * q, max_value=3 * q).map(
+                          lambda p: F(p, q)))),
+        80, 30, rational_power_enclosure,
+        lambda mp, x, s: mp.power(x, mp.mpf(s.numerator) / s.denominator)),
     "harmonic_number": (st.integers(min_value=1, max_value=3000).map(F), 80, 10,
                         lambda n, digits: harmonic_number_enclosure(n.numerator, digits),
                         lambda mp, n: mp.harmonic(n)),

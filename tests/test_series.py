@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from certreal.core import Enclosure, FnDescriptor, Status
 from certreal.powerseries import exp_enclosure, ln_enclosure, pi_enclosure
 from certreal.sequences import TermStream
@@ -17,6 +19,7 @@ from certreal.series import (
     rearrange_pattern,
     rearrange_riemann,
 )
+from conftest import fractions_built
 
 
 def test_partial_sum_examples():
@@ -86,6 +89,99 @@ def test_alternating_bound_rejects_violations():
     wobble = TermStream(lambda k: F(1, k) if k != 5 else F(2), 1)
     with pytest.raises(ValueError, match="index 5"):
         alternating_sum_with_bound(wobble, 10)
+
+
+def _reference_alternating_sum(b, n):
+    """The Fraction loop that the integer loop of `alternating_sum_with_bound`
+    replaced, kept as the reference for its enclosures and its errors."""
+    if n < 1:
+        raise ValueError("need at least one term")
+    previous = None
+    total = F(0)
+    even_sum = odd_sum = None
+    for k in range(1, n + 1):
+        bk = b.term(b.n0 + k - 1)
+        if not isinstance(bk, F):
+            raise ValueError("alternating bound needs exact rational magnitudes")
+        if bk < 0:
+            raise ValueError(f"magnitude term b_{k} = {bk} is negative")
+        if previous is not None and bk > previous:
+            raise ValueError(f"magnitudes increase at index {k}: {previous} -> {bk}")
+        previous = bk
+        total += bk if k % 2 == 1 else -bk
+        if k % 2 == 0:
+            even_sum = total
+        else:
+            odd_sum = total
+    tail = b.term(b.n0 + n)
+    if not isinstance(tail, F) or tail < 0 or tail > previous:
+        raise ValueError("tail magnitude violates the decreasing contract")
+    bracket = Enclosure(total - tail, total + tail)
+    if even_sum is not None and odd_sum is not None:
+        bracket = bracket.intersect(Enclosure(even_sum, odd_sum))
+    return bracket
+
+
+_MAGNITUDE_STREAMS = {
+    "inv": lambda k: F(1, k),
+    "inv_odd": lambda k: F(1, 2 * k - 1),
+    "inv_sq": lambda k: F(1, k * k),
+    "inv_factorial": lambda k: F(1, factorial(k)),
+}
+
+
+def _outcome(alternating_sum, values):
+    """The enclosure of the alternating sum of values[:-1] with tail
+    values[-1], or the text of the ValueError it raises."""
+    try:
+        enc = alternating_sum(TermStream(lambda k: values[k - 1], 1), len(values) - 1)
+    except ValueError as exc:
+        return str(exc)
+    return enc.lo, enc.hi
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_MAGNITUDE_STREAMS)), st.integers(min_value=1, max_value=400))
+def test_alternating_sum_matches_fraction_loop_on_named_streams(name, n):
+    values = [_MAGNITUDE_STREAMS[name](k) for k in range(1, n + 2)]
+    assert _outcome(alternating_sum_with_bound, values) == _outcome(_reference_alternating_sum, values)
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=10, max_denominator=10**6), min_size=2,
+                max_size=401),
+       st.sampled_from(["none", "negative", "increase", "float", "tail above", "tail float"]),
+       st.data())
+def test_alternating_sum_matches_fraction_loop_and_its_errors(values, fault, data):
+    # non-increasing rationals, then at most one fault: the same enclosure,
+    # or the same ValueError text, as the Fraction loop
+    values = sorted(values, reverse=True)
+    i = data.draw(st.integers(min_value=0, max_value=len(values) - 2))
+    if fault == "negative":
+        values[i] = -values[i] - F(1, 7)
+    elif fault == "increase":
+        values[i + 1] = values[i] + F(1, 3)
+    elif fault == "float":
+        values[i] = float(values[i])
+    elif fault == "tail above":
+        values[-1] = values[-2] + 1
+    elif fault == "tail float":
+        values[-1] = float(values[-1])
+    expected = _outcome(_reference_alternating_sum, values)
+    assert _outcome(alternating_sum_with_bound, values) == expected
+    if fault != "none":
+        assert isinstance(expected, str)
+
+
+def test_alternating_sum_builds_fractions_for_its_terms_and_ends():
+    # a machine-independent counter: the n + 1 terms of the stream, then
+    # S_n, S_(n-1) and the bracket; the Fraction loop built 7,629 for
+    # ln 2 at n = 3,050
+    for name in _MAGNITUDE_STREAMS:
+        for n in (1, 2, 50, 3050 if name != "inv_factorial" else 300):
+            with fractions_built() as built:
+                alternating_sum_with_bound(TermStream(_MAGNITUDE_STREAMS[name], 1), n)
+            assert built.count <= n + 8, (name, n, built.count)
 
 
 def test_ratio_root_scan_examples():
