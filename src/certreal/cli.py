@@ -364,6 +364,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
         args.improper = True
     f = resolve_function(args.fn)
     width = _fraction(args.width)
+    if width <= 0:
+        raise UsageError("--width must be positive")
     report = Report(
         "integrate",
         {"fn": args.fn, "a": args.a, "b": args.b, "width": args.width,
@@ -439,6 +441,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
 def cmd_constants(args) -> tuple[Report, int]:
     which = args.name.replace("-", "_")
     terms = args.terms
+    if terms is not None and terms < 1:
+        raise UsageError("--terms must be >= 1")
     if terms is None:
         defaults = {"e": 25, "ln2": 10**4, "pi_over_4": 10**4, "euler_gamma": 10**6}
         if which not in defaults:
@@ -452,10 +456,14 @@ def cmd_constants(args) -> tuple[Report, int]:
 
 
 def cmd_taylor(args) -> tuple[Report, int]:
+    if args.order < 0:
+        raise UsageError("--order must be >= 0")
+    radius = _fraction(args.radius)
+    if radius <= 0:
+        raise UsageError("--radius must be positive")
     deriv_range = None
     if args.deriv_range:
-        lo_text, hi_text = args.deriv_range.split(",")
-        deriv_range = (_fraction(lo_text), _fraction(hi_text))
+        deriv_range = _pair("--deriv-range", args.deriv_range, _fraction, "rationals")
     poly_coeffs = None
     tag = args.tag
     if tag.startswith("poly:"):
@@ -465,7 +473,7 @@ def cmd_taylor(args) -> tuple[Report, int]:
         tag,
         _fraction(args.at),
         args.order,
-        radius=_fraction(args.radius),
+        radius=radius,
         deriv_range=deriv_range,
         coeffs=poly_coeffs,
     )
@@ -507,6 +515,8 @@ def cmd_bernstein(args) -> tuple[Report, int]:
 
 
 def cmd_rearrange(args) -> tuple[Report, int]:
+    if args.steps < 1:
+        raise UsageError("--steps must be >= 1")
     handle = _series_from_flags(args.family, args)
     report = Report(
         "rearrange",

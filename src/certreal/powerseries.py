@@ -818,9 +818,10 @@ def constants(which: str, n: int) -> Enclosure:
     """Named constants with explicit truncation order n.
 
     e: sum of 1/k! through n, tail in (0, 3/(n+1)!]; ln2 and pi_over_4 via
-    the alternating-series estimate at n terms; euler_gamma: enclosure of
-    the estimate c_n = H_n - ln n (the estimate exceeds gamma by roughly
-    1/(2n); see `euler_gamma_window` for an enclosure of gamma itself).
+    the alternating-series estimate at n terms of 1/k or 1/(2k - 1), which
+    decrease by construction; euler_gamma: enclosure of the estimate
+    c_n = H_n - ln n (the estimate exceeds gamma by roughly 1/(2n); see
+    `euler_gamma_window` for an enclosure of gamma itself).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -830,16 +831,12 @@ def constants(which: str, n: int) -> Enclosure:
         for k in range(1, n + 1):
             s, fact = s * k + 1, fact * k
         return Enclosure(Fraction(s, fact), Fraction(s * (n + 1) + 3, fact * (n + 1)))
-    if which == "ln2":
-        from certreal.sequences import TermStream
-        from certreal.series import alternating_sum_with_bound
+    if which in ("ln2", "pi_over_4"):
+        from certreal.series import _alternating_bracket
 
-        return alternating_sum_with_bound(TermStream(lambda k: Fraction(1, k), 1), n)
-    if which == "pi_over_4":
-        from certreal.sequences import TermStream
-        from certreal.series import alternating_sum_with_bound
-
-        return alternating_sum_with_bound(TermStream(lambda k: Fraction(1, 2 * k - 1), 1), n)
+        step = 1 if which == "ln2" else 2
+        top = step * n + 1  # the tail 1/(n + 1) or 1/(2n + 1)
+        return _alternating_bracket([1] * n, range(1, top, step), Fraction(1, top))
     if which == "euler_gamma":
         return harmonic_number_enclosure(n, 25) - ln_enclosure(Fraction(n), 25)
     raise ValueError(f"unknown constant {which!r}")

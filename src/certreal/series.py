@@ -260,25 +260,27 @@ def _test_p_series(s: SeriesHandle, horizon: int, ctx: dict):
 def _alternating_structure(s: SeriesHandle, horizon: int):
     """Return the magnitude prefix if the prefix looks like (-1)**(n-1) b_n."""
     values = [s.term(n) for n in range(s.n0, horizon + 1)]
-    if not all(isinstance(v, Fraction) for v in values):
+    if not all(isinstance(v, Fraction) and v != 0 and (v > 0) == (i % 2 == 0)
+               for i, v in enumerate(values)):
         return None
-    mags = []
-    for i, v in enumerate(values):
-        expected_sign = 1 if i % 2 == 0 else -1
-        if v == 0 or (v > 0) != (expected_sign > 0):
-            return None
-        mags.append(abs(v))
-    if not all(a >= b for a, b in zip(mags, mags[1:])):
-        return None
-    return mags
+    mags = [abs(v) for v in values]
+    return mags if all(a >= b for a, b in zip(mags, mags[1:])) else None
 
 
 def _test_alternating(s: SeriesHandle, horizon: int, ctx: dict):
     mags = _alternating_structure(s, horizon)
-    if mags is None:
+    if not mags:
         return None, "prefix is not an alternating series with decreasing magnitudes"
-    magnitude_stream = TermStream(lambda k: abs(s.term(s.n0 + k - 1)), 1)
-    enclosure = alternating_sum_with_bound(magnitude_stream, horizon - s.n0 + 1)
+    # the bracket needs term horizon+1 to keep the sign pattern and the decrease
+    nxt = s.term(horizon + 1)
+    if not isinstance(nxt, Fraction):
+        return None, f"term {horizon + 1} is not an exact rational"
+    if nxt != 0 and (nxt > 0) != (len(mags) % 2 == 0):
+        return None, f"term {horizon + 1} = {nxt} breaks the sign pattern"
+    if abs(nxt) > mags[-1]:
+        return None, f"term {horizon + 1} = {nxt} is larger in magnitude than term {horizon}"
+    enclosure = _alternating_bracket([m.numerator for m in mags],
+                                     [m.denominator for m in mags], abs(nxt))
     cert = TestCertificate(
         "alternating",
         {
@@ -556,15 +558,12 @@ def alternating_sum_with_bound(b: TermStream, n: int) -> Enclosure:
     The bracket |s - s_n| <= b_{n+1} is intersected with the even/odd
     partial-sum oscillation bracket.
     """
-    # The partial sum S_k is num / den over the running common denominator
-    # den = lcm of the denominators so far, and the magnitudes are compared
-    # by cross-multiplication: integers only inside the loop, and Fractions
-    # only for S_n, S_(n-1) and the bracket, the same rationals as a
-    # Fraction loop.
+    # Integer cross-multiplication and `_signed_sum`: Fractions only for the
+    # stream's own terms and the bracket, the same rationals as a Fraction loop.
     if n < 1:
         raise ValueError("need at least one term")
     previous = None
-    num, den = 0, 1
+    nums, dens = [], []
     for k in range(1, n + 1):
         bk = b.term(b.n0 + k - 1)
         if not isinstance(bk, Fraction):
@@ -575,20 +574,49 @@ def alternating_sum_with_bound(b: TermStream, n: int) -> Enclosure:
         if previous is not None and a * previous.denominator > previous.numerator * d:
             raise ValueError(f"magnitudes increase at index {k}: {previous} -> {bk}")
         previous = bk
-        before = num, den  # S_(k-1)
-        g = gcd(den, d)
-        term = a * (den // g)
-        num, den = num * (d // g) + (term if k % 2 == 1 else -term), den * (d // g)
+        nums.append(a)
+        dens.append(d)
     tail = b.term(b.n0 + n)
     if not isinstance(tail, Fraction) or tail < 0 or tail > previous:
         raise ValueError("tail magnitude violates the decreasing contract")
-    total = Fraction(num, den)
+    return _alternating_bracket(nums, dens, tail)
+
+
+def _alternating_bracket(nums, dens, tail: Fraction) -> Enclosure:
+    """S_n +- b_(n+1) intersected with [S_even, S_odd], S_(n-1) = S_n -+ b_n, for
+    S_n = sum (-1)**(k-1) nums[k-1]/dens[k-1] with magnitudes that the caller
+    has checked to decrease to the tail b_(n+1)."""
+    n = len(nums)
+    total = Fraction(*_signed_sum(nums, dens, 0, n))
     bracket = Enclosure(total - tail, total + tail)
     if n > 1:
-        last = Fraction(*before)
+        b_n = Fraction(nums[-1], dens[-1])
+        last = total - b_n if n % 2 == 1 else total + b_n
         even, odd = (total, last) if n % 2 == 0 else (last, total)
         bracket = bracket.intersect(Enclosure(even, odd))
     return bracket
+
+
+def _signed_sum(nums, dens, lo: int, hi: int) -> tuple[int, int]:
+    """(N, D) with N/D = sum over lo <= i < hi of (-1)**i nums[i]/dens[i] and
+    D = lcm(dens[lo:hi]), by binary splitting (Haible & Papanikolaou, 1998):
+    the halves meet in one gcd, so the big products are balanced. Each call
+    halves a finite range, so the depth is ceil(log2(hi - lo)); at most 16
+    terms run the running-lcm loop.
+    """
+    if hi - lo <= 16:
+        num, den = 0, 1
+        for i in range(lo, hi):
+            d = dens[i]
+            g = gcd(den, d)
+            term = nums[i] * (den // g)
+            num, den = num * (d // g) + (term if i % 2 == 0 else -term), den * (d // g)
+        return num, den
+    mid = (lo + hi) // 2
+    n1, d1 = _signed_sum(nums, dens, lo, mid)
+    n2, d2 = _signed_sum(nums, dens, mid, hi)
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
 
 
 def ratio_root_scan(

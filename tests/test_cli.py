@@ -260,6 +260,19 @@ def test_negative_digits_is_a_usage_error(capsys):
      "--pattern needs two comma-separated integers, got 'a,b'"),
     (["rearrange", "alt-harmonic", "--pattern", "1,2,3"],
      "--pattern needs two comma-separated integers, got '1,2,3'"),
+    (["taylor", "exp", "--order", "3", "--x", "1/2", "--deriv-range", "1"],
+     "--deriv-range needs two comma-separated rationals, got '1'"),
+    (["taylor", "exp", "--order", "3", "--x", "1/2", "--deriv-range", "1,2,3"],
+     "--deriv-range needs two comma-separated rationals, got '1,2,3'"),
+    (["taylor", "exp", "--order", "-1", "--x", "1/2"], "--order must be >= 0"),
+    (["taylor", "exp", "--order", "3", "--x", "1/2", "--radius", "0"],
+     "--radius must be positive"),
+    (["constants", "ln2", "--terms", "0"], "--terms must be >= 1"),
+    (["rearrange", "alt-harmonic", "--pattern", "2,1", "--steps", "0"],
+     "--steps must be >= 1"),
+    (["integrate", "poly:x^2", "0", "1", "--width", "0"], "--width must be positive"),
+    (["integrate", "x^-2", "1", "inf", "--improper", "--width", "-1"],
+     "--width must be positive"),
 ])
 def test_malformed_flag_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

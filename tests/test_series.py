@@ -1,14 +1,15 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from certreal.core import Enclosure, FnDescriptor, Status
-from certreal.powerseries import exp_enclosure, ln_enclosure, pi_enclosure
+from certreal.powerseries import constants, exp_enclosure, ln_enclosure, pi_enclosure
 from certreal.sequences import TermStream
 from certreal.series import (
     DEFAULT_POLICY,
     SignClassExhausted,
+    _signed_sum,
     alternating_sum_with_bound,
     classify,
     make_product,
@@ -182,6 +183,78 @@ def test_alternating_sum_builds_fractions_for_its_terms_and_ends():
             with fractions_built() as built:
                 alternating_sum_with_bound(TermStream(_MAGNITUDE_STREAMS[name], 1), n)
             assert built.count <= n + 8, (name, n, built.count)
+
+
+# the leaf size 16 of the binary splitting, its neighbours, and deeper splits
+_SPLIT_SIZES = (15, 16, 17, 31, 32, 33, 1023, 1024, 1025, 3050)
+
+
+@pytest.mark.parametrize("n", (1, 2) + _SPLIT_SIZES)
+def test_alternating_sum_matches_fraction_loop_across_splits(n):
+    for name, magnitude in _MAGNITUDE_STREAMS.items():
+        values = [magnitude(k) for k in range(1, n + 2)]
+        expected = _outcome(_reference_alternating_sum, values)
+        assert _outcome(alternating_sum_with_bound, values) == expected, (name, n)
+
+
+@pytest.mark.parametrize("n", (1, 2, 15, 16, 17, 33, 1025))
+def test_signed_sum_denominator_is_the_lcm(n):
+    for name, magnitude in _MAGNITUDE_STREAMS.items():
+        values = [magnitude(k) for k in range(1, n + 1)]
+        dens = [v.denominator for v in values]
+        assert _signed_sum([v.numerator for v in values], dens, 0, n)[1] == lcm(*dens), (name, n)
+
+
+def test_constants_match_the_checked_alternating_sum():
+    streams = {"ln2": lambda k: F(1, k), "pi_over_4": lambda k: F(1, 2 * k - 1)}
+    for which, magnitude in streams.items():
+        for n in list(range(1, 301)) + [3050]:
+            expected = alternating_sum_with_bound(TermStream(magnitude, 1), n)
+            assert constants(which, n) == expected, (which, n)
+
+
+def test_constants_build_no_fraction_per_term():
+    # the Fraction loop built 3,075 (ln2) and 3,055 (pi_over_4) at n = 3,050
+    for which in ("ln2", "pi_over_4"):
+        with fractions_built() as built:
+            constants(which, 3050)
+        assert built.count <= 16, (which, built.count)
+
+
+def _alt_harmonic_then(bad_term):
+    """(-1)**(n-1)/n at every n except n = 11, where the term is bad_term."""
+    return make_series("custom", gen=lambda n: bad_term if n == 11 else F((-1) ** (n - 1), n))
+
+
+@pytest.mark.parametrize("bad_term,note", [
+    (F(5), "term 11 = 5 is larger in magnitude than term 10"),
+    (F(3, 20), "term 11 = 3/20 is larger in magnitude than term 10"),
+    (F(-1, 11), "term 11 = -1/11 breaks the sign pattern"),
+    (0.5, "term 11 is not an exact rational"),
+])
+def test_alternating_test_checks_the_term_after_the_horizon(bad_term, note):
+    handle = _alt_harmonic_then(bad_term)
+    verdict = classify(handle, ("alternating",), horizon=10)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.trace == (("alternating", note),)
+    # the default policy goes on to the root and ratio tests instead of raising
+    tests = [test for test, _ in classify(_alt_harmonic_then(bad_term), horizon=10).trace]
+    assert tests[tests.index("alternating") + 1:] == ["root", "ratio"]
+
+
+def test_alternating_test_accepts_an_equal_term_after_the_horizon():
+    verdict = classify(_alt_harmonic_then(F(1, 10)), ("alternating",), horizon=10)
+    assert verdict.status is Status.CONVERGES
+    assert verdict.value.width() <= F(2, 10)
+
+
+def test_alternating_test_sums_the_prefix_it_reads_once(monkeypatch):
+    reads = []
+    term = TermStream.term
+    monkeypatch.setattr(TermStream, "term", lambda self, n: reads.append(n) or term(self, n))
+    verdict = classify(make_series("alt_harmonic"), ("alternating",), horizon=10)
+    assert sorted(reads) == list(range(1, 12))
+    assert verdict.value == alternating_sum_with_bound(TermStream(lambda k: F(1, k), 1), 10)
 
 
 def test_ratio_root_scan_examples():
