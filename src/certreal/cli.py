@@ -412,7 +412,7 @@ def cmd_integrate(args) -> tuple[Report, int]:
                 )
         spec = integration.ImproperSpec(
             f, lo, hi,
-            singular_lo=(lo == 0 and args.fn.startswith("x^-")),
+            singular_lo=(lo == 0 and power is not None and exponent < 0),
             singular_hi=singular_hi,
             comparisons=tuple(comparisons),
             # x^p >= 0 unless p is odd and the interval reaches below 0
@@ -464,6 +464,8 @@ def cmd_taylor(args) -> tuple[Report, int]:
     deriv_range = None
     if args.deriv_range:
         deriv_range = _pair("--deriv-range", args.deriv_range, _fraction, "rationals")
+        if deriv_range[0] > deriv_range[1]:
+            raise UsageError("--deriv-range needs lo <= hi")
     poly_coeffs = None
     tag = args.tag
     if tag.startswith("poly:"):
@@ -497,6 +499,8 @@ def cmd_bernstein(args) -> tuple[Report, int]:
     interval = (Fraction(0), Fraction(1))
     if args.interval:
         interval = _pair("--interval", args.interval, _fraction, "rationals")
+        if interval[0] >= interval[1]:
+            raise UsageError("--interval needs a < b")
     op = approx.BernsteinOperator.from_function(f, args.degree, interval)
     report = Report(
         "bernstein",
@@ -525,6 +529,8 @@ def cmd_rearrange(args) -> tuple[Report, int]:
     )
     if args.pattern:
         p, q = _pair("--pattern", args.pattern, int, "integers")
+        if min(p, q) < 1:
+            raise UsageError("--pattern counts must be >= 1")
         result = series.rearrange_pattern(handle, p, q, args.steps)
         report.extras["last_partial_sums"] = [
             decimal_string(v, 12) for v in result.partial_sums[-3:]

@@ -45,39 +45,42 @@ __all__ = [
 ]
 
 
+def _ratio_sum(num: int, den: int, p: tuple[int, int], q: tuple[int, int, int],
+               first: int, scale: int) -> tuple[int, int, int, int, int]:
+    """(N, D, M, T, E): N/D = M/E = t_0 + ... + t_k and T/E = t_(k+1) for
+    the series t_0 = num/den, t_(j+1) = t_j p(j)/q(j) with p(j) = p0 + p1 j
+    and q(j) = q0 + q1 j + q2 j^2 >= 1, where k is the first index >= `first`
+    with scale |T| <= E; the fractions are not reduced."""
+    # N/D is kept over D_j = den q(0)...q(j-1) and the next term's numerator
+    # T over E = D_j q(j), so the loop runs in integers: N_(j+1) = N_j q(j) +
+    # T_(j+1), and E becomes the next D.  bits(T) + bits(scale) <= bits(E) + 1
+    # is necessary for scale |T| <= E and costs no multiplication.
+    #
+    # Termination: every caller's terms tend to 0, so scale |t_(k+1)| <= 1
+    # holds from some k >= first on.
+    p0, p1 = p
+    q0, q1, q2 = q
+    bits = scale.bit_length()
+    term, j = num, 0
+    while True:
+        step = q0 + (q1 + q2 * j) * j
+        term *= p0 + p1 * j
+        nxt_den = den * step
+        if (j >= first and term.bit_length() + bits <= nxt_den.bit_length() + 1
+                and scale * abs(term) <= nxt_den):
+            return num, den, num * step, term, nxt_den
+        num, den, j = num * step + term, nxt_den, j + 1
+
+
 def _exp_series(a: int, b: int, digits: int) -> tuple[int, int, int, int]:
     """(N, D, H, G) with N/D <= e^(a/b) <= H/G and H/G - N/D <= 10^-digits,
     for integers a > 0 < b; the fractions are not reduced."""
-    # Terms t_k = q^k / k! with q = a/b; once k + 1 >= 2q the ratio is
-    # <= 1/2, so the tail after term k is at most twice the next term.
-    #
-    # The partial sum through t_k is N_k / D_k over the common denominator
-    # D_k = b^k k!, where N_k = N_(k-1) b k + a^k, and the next term is
-    # a^(k+1) / (D_k b (k+1)).  Integers only inside the loop: one gcd at
-    # the end (in the caller's Fraction, if it builds one) instead of one
-    # per term, and the same rationals.
-    #
-    # Termination: from the first k with k + 1 >= 2q on, each next term is
-    # at most half the one before (t_(j+1) / t_j = q / (j+1) <= 1/2), so
-    # 2 t_(k+1) <= 10^-digits holds within log2(2 t_(k0+1) 10^digits)
-    # further steps.
-    scale = 2 * 10**digits
-    num = den = power = 1  # N_k, D_k, a^k
-    k = 0
-    while True:
-        k += 1
-        power *= a
-        num = num * b * k + power
-        den *= b * k
-        if (k + 1) * b >= 2 * a:
-            nxt_num, nxt_den = power * a, den * b * (k + 1)
-            if scale * nxt_num <= nxt_den:
-                return num, den, num * b * (k + 1) + 2 * nxt_num, nxt_den
-
-
-def _exp_positive(q: Fraction, digits: int) -> Enclosure:
-    num, den, hi_num, hi_den = _exp_series(q.numerator, q.denominator, digits)
-    return Enclosure(Fraction(num, den), Fraction(hi_num, hi_den))
+    # Terms q^k/k! for q = a/b, ratio a/(b(k+1)).  From the first k >= 1 with
+    # (k+1) b >= 2a the ratio is <= 1/2, so the tail after term k is at most
+    # twice the next term.
+    first = max(1, -(-2 * a // b) - 1)  # the least k >= 1 with (k+1) b >= 2a
+    num, den, mid, term, nxt_den = _ratio_sum(1, 1, (a, 0), (b, b, 0), first, 2 * 10**digits)
+    return num, den, mid + 2 * term, nxt_den
 
 
 def _exp_negative_shift(a: int, b: int, digits: int) -> Optional[int]:
@@ -99,14 +102,15 @@ def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(1)
-    if q > 0:
-        return _exp_positive(q, digits)
-    shift = _exp_negative_shift(-q.numerator, q.denominator, digits)
-    if shift is not None:
-        return Enclosure(Fraction(0), Fraction(1, 1 << shift))
+    if q < 0:
+        shift = _exp_negative_shift(-q.numerator, q.denominator, digits)
+        if shift is not None:
+            return Enclosure(Fraction(0), Fraction(1, 1 << shift))
+    num, den, hi_num, hi_den = _exp_series(abs(q.numerator), q.denominator, digits)
+    enc = Enclosure(Fraction(num, den), Fraction(hi_num, hi_den))
     # exp(q) = 1 / exp(-q); exp(-q) >= 1, so the reciprocal width is no
     # larger than the direct width.
-    return _exp_positive(-q, digits).reciprocal()
+    return enc if q > 0 else enc.reciprocal()
 
 
 def exp_enclosure_over(x: Enclosure, digits: int = 12) -> Enclosure:
@@ -176,35 +180,22 @@ def ln_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 
 
 def _sin_like(q: Fraction, digits: int, cosine: bool) -> Enclosure:
-    # Alternating factorial series; tail bounded by twice the next term
-    # once the index passes 2|q|.
-    #
-    # With q = a/b, the partial sum through exponent k is N / D over the
-    # common denominator D = b^k k!, and the last term is T / D with
-    # T = +-a^k.  Two exponents on, D gains the factor b^2 (k+1)(k+2) and T
-    # the factor -a^2, so the loop runs in integers and only the returned
-    # endpoints become Fractions: the same rationals as a Fraction loop.
-    #
-    # Termination: k grows by 2 per step, so k b >= 2|a| (k >= 2|q|) holds
-    # from some step on; from there the term ratio q^2 / ((k+1)(k+2)) is
-    # below 1/4, so 4 * 10^digits * nxt <= 1 within log4(4 nxt 10^digits)
-    # further steps.
+    # Alternating factorial series, ratio -q^2/((k+1)(k+2)) from exponent k
+    # to k + 2; once k >= 2|q| (k b >= 2|a| for q = a/b) it is below 1/4,
+    # so the tail is bounded by twice the next term.
     a, b = q.numerator, q.denominator
-    a2, b2 = a * a, b * b
-    scale = 4 * 10**digits
-    num, den, term, k = (1, 1, 1, 0) if cosine else (a, b, a, 1)
-    step = b2 * (k + 1) * (k + 2)  # D's factor two exponents on
-    while True:
-        term *= -a2
-        num, den = num * step + term, den * step
-        k += 2
-        step = b2 * (k + 1) * (k + 2)
-        nxt_num, nxt_den = abs(term) * a2, den * step
-        if k * b >= 2 * abs(a) and scale * nxt_num <= nxt_den:
-            mid = num * step
-            raw = Enclosure(Fraction(mid - 2 * nxt_num, nxt_den),
-                            Fraction(mid + 2 * nxt_num, nxt_den))
-            return raw.intersect(Enclosure(-1, 1))
+    b2 = b * b
+    if cosine:  # exponent k = 2j
+        start, step = (1, 1), (2 * b2, 6 * b2, 4 * b2)
+        first = -(-abs(a) // b)  # the least j with 2j b >= 2|a|
+    else:  # exponent k = 2j + 1
+        start, step = (a, b), (6 * b2, 10 * b2, 4 * b2)
+        first = -(-(2 * abs(a) - b) // (2 * b))  # the least j with (2j+1) b >= 2|a|
+    _, _, mid, term, nxt_den = _ratio_sum(*start, (-a * a, 0), step, max(1, first),
+                                          4 * 10**digits)
+    rad = 2 * abs(term)
+    return Enclosure(Fraction(mid - rad, nxt_den),
+                     Fraction(mid + rad, nxt_den)).intersect(Enclosure(-1, 1))
 
 
 def sin_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
@@ -226,32 +217,15 @@ def cos_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 
 
 def _atan_inverse_integer(m: int, digits: int) -> Enclosure:
-    # atan(1/m): alternating series with strictly decreasing terms.  The
-    # consecutive partial sums bracket the limit, and those brackets are
-    # nested as more terms are taken, which keeps higher-precision
-    # enclosures inside lower-precision ones.
-    #
-    # The partial sum through the term of index i - 2 is N / D over the
-    # common denominator D = m^(i-2) (1*3*...*(i-2)), odd i.  The next term
-    # +-1 / (i m^i) is +-odd / (D m^2 i) with odd = 1*3*...*(i-2), so the
-    # loop runs in integers and only the returned endpoints become
-    # Fractions: the same rationals as a Fraction loop.
-    #
-    # Termination: the next term's denominator is i m^i >= i, and i grows
-    # by 2 per step, so it reaches 10^digits.
-    scale = 10**digits
+    # atan(1/m) = sum (-1)^j / ((2j+1) m^(2j+1)): an alternating series with
+    # strictly decreasing terms, ratio -(2j+1)/((2j+3) m^2).  The consecutive
+    # partial sums bracket the limit, and those brackets are nested as more
+    # terms are taken, which keeps higher-precision enclosures inside
+    # lower-precision ones.
     m2 = m * m
-    num, den, odd, power = 1, m, 1, m  # N, D, 1*3*...*(i-2), m^(i-2)
-    i, sign = 3, -1  # the next term is sign / (i m^i)
-    while True:
-        step = m2 * i
-        power *= m2
-        follower = num * step + sign * odd
-        if scale <= power * i:
-            total, after = Fraction(num, den), Fraction(follower, den * step)
-            return Enclosure(min(total, after), max(total, after))
-        num, den, odd = follower, den * step, odd * i
-        i, sign = i + 2, -sign
+    num, den, mid, term, nxt_den = _ratio_sum(1, m, (-1, -2), (3 * m2, 2 * m2, 0), 0, 10**digits)
+    total, after = Fraction(num, den), Fraction(mid + term, nxt_den)
+    return Enclosure(min(total, after), max(total, after))
 
 
 _PI_CACHE: dict[int, Enclosure] = {}  # one entry, as _LN2_CACHE
@@ -296,6 +270,20 @@ class RadiusInfo:
             raise ValueError("exact radius needs a value")
         if self.kind == "window" and self.window is None:
             raise ValueError("window radius needs a window")
+
+
+def _radius_at_least(a: RadiusInfo, b: RadiusInfo) -> RadiusInfo:
+    """A lower bound on the radius of a sum or Cauchy product of two series
+    with radii a and b: zero if either is zero, else the smaller known
+    radius; an unknown or window radius gives the window (0, 0)."""
+    if "zero" in (a.kind, b.kind):
+        return RadiusInfo("zero", at_least=True)
+    if a.kind == b.kind == "infinite":
+        return RadiusInfo("infinite", at_least=True)
+    if {a.kind, b.kind} <= {"exact", "infinite"}:
+        return RadiusInfo("exact", value=min(i.value for i in (a, b) if i.kind == "exact"),
+                          at_least=True)
+    return RadiusInfo("window", window=Enclosure(0, 0), at_least=True)
 
 
 def _peak(ratio: Callable[[int], Fraction], start: RationalLike = 0) -> Fraction:
@@ -422,18 +410,6 @@ class PowerSeries:
         def gen(n: int) -> Fraction:
             return sum((a.coeff(m) * b.coeff(n - m) for m in range(n + 1)), Fraction(0))
 
-        infos = (a.radius_info, b.radius_info)
-        if any(i.kind == "zero" for i in infos):
-            info = RadiusInfo("zero", at_least=True)
-        elif all(i.kind == "infinite" for i in infos):
-            info = RadiusInfo("infinite", at_least=True)
-        else:
-            finite = [i.value for i in infos if i.kind == "exact" and i.value is not None]
-            if finite and all(i.kind in ("exact", "infinite") for i in infos):
-                info = RadiusInfo("exact", value=min(finite), at_least=True)
-            else:
-                info = RadiusInfo("window", window=Enclosure(0, 0), at_least=True)
-
         dom: Optional[Domination] = None
         if a.domination is not None and b.domination is not None:
 
@@ -444,7 +420,8 @@ class PowerSeries:
                 r_mid = (r1 + r2) / 2
                 return ma * mb * _geo_poly_max(r_mid / r2), r_mid
 
-        return PowerSeries(gen, a.center, info, dom, f"({a.name})*({b.name})")
+        return PowerSeries(gen, a.center, _radius_at_least(a.radius_info, b.radius_info), dom,
+                           f"({a.name})*({b.name})")
 
     def add(self, other: "PowerSeries") -> "PowerSeries":
         if self.center != other.center:
@@ -459,19 +436,9 @@ class PowerSeries:
                 r2 = min(r2a, r2b)
                 return ma + mb, r2
 
-        infos = (a.radius_info, b.radius_info)
-        if all(i.kind == "infinite" for i in infos):
-            info = RadiusInfo("infinite", at_least=True)
-        else:
-            finite = [i.value for i in infos if i.kind == "exact" and i.value is not None]
-            info = (
-                RadiusInfo("exact", value=min(finite), at_least=True)
-                if finite
-                else RadiusInfo("window", window=Enclosure(0, 0), at_least=True)
-            )
-        return PowerSeries(
-            lambda n: a.coeff(n) + b.coeff(n), a.center, info, dom, f"({a.name})+({b.name})"
-        )
+        return PowerSeries(lambda n: a.coeff(n) + b.coeff(n), a.center,
+                           _radius_at_least(a.radius_info, b.radius_info), dom,
+                           f"({a.name})+({b.name})")
 
     def scale(self, k: RationalLike) -> "PowerSeries":
         k = to_rational(k)

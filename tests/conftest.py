@@ -16,13 +16,24 @@ def fractions_built():
     """
     built = SimpleNamespace(count=0)
     new = Fraction.__dict__["__new__"]
+    # From Python 3.12 on, Fraction arithmetic builds its results through
+    # this private constructor, which bypasses __new__.
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
 
     def counting_new(cls, *args, **kwargs):
         built.count += 1
         return new.__func__(cls, *args, **kwargs)
 
+    def counting_coprime(cls, *args):
+        built.count += 1
+        return coprime.__func__(cls, *args)
+
     Fraction.__new__ = staticmethod(counting_new)
+    if coprime is not None:
+        Fraction._from_coprime_ints = classmethod(counting_coprime)
     try:
         yield built
     finally:
         Fraction.__new__ = new
+        if coprime is not None:
+            Fraction._from_coprime_ints = coprime

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,12 +224,15 @@ def test_polynomial_sample_builds_fractions_for_the_spec_only():
     # a machine-independent counter: the grid rows of a polynomial come from
     # an integer forward-difference table, so the Fractions built are those
     # of parsing the spec and its descriptor, whatever the grid size (the
-    # Fraction loop built about 17 per row)
+    # Fraction loop built about 17 per row).  78 on Python 3.10 and 3.11;
+    # 120 from 3.12 on, where Fraction-int arithmetic builds a Fraction for
+    # the int as well as one for the result, so the bound follows the
+    # interpreter.
     def built(grid):
         return _fractions_built(*_sample_argv("poly:1/2x^3-3/4x^2-1/8x+3/5", F(-1, 4), F(7, 4),
                                               grid, 12), "--json")
 
-    assert built(1) == built(16) == built(512) <= 100
+    assert built(1) == built(16) == built(512) <= (100 if sys.version_info < (3, 12) else 128)
 
 
 @pytest.mark.parametrize("spec", ["gallery:sawtooth:10", "gallery:unit-step", "x^3"])
@@ -273,6 +277,11 @@ def test_negative_digits_is_a_usage_error(capsys):
     (["integrate", "poly:x^2", "0", "1", "--width", "0"], "--width must be positive"),
     (["integrate", "x^-2", "1", "inf", "--improper", "--width", "-1"],
      "--width must be positive"),
+    (["rearrange", "alt-harmonic", "--pattern", "0,1"], "--pattern counts must be >= 1"),
+    (["bernstein", "x^2", "--degree", "3", "--x", "1/2", "--interval", "1,0"],
+     "--interval needs a < b"),
+    (["taylor", "exp", "--order", "3", "--x", "1/2", "--deriv-range", "2,1"],
+     "--deriv-range needs lo <= hi"),
 ])
 def test_malformed_flag_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -407,8 +416,10 @@ def test_even_power_to_minus_infinity_diverges(capsys):
     assert code == 2 and json.loads(out)["status"] == "Inconclusive"
     # a minorant bounds only an infinite end: with two finite ends an even
     # power converges, at a regular or at a singular end 0 (whose head bound
-    # reaches 1e-6 only after more halvings than the schedule takes)
+    # reaches 1e-6 only after more halvings than the schedule takes); x^-0 and
+    # x^-0/2 are x^0, with no singular end
     for argv, value in ((["x^2", "0", "1"], F(1, 3)), (["x^0", "0", "1"], F(1)),
+                        (["x^-0", "0", "1"], F(1)), (["x^-0/2", "0", "1"], F(1)),
                         (["x^-2/3", "0", "1", "--width", "1e-3"], F(3))):
         code, out, _ = run(capsys, "integrate", "--json", "--improper", *argv)
         payload = json.loads(out)

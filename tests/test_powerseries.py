@@ -14,6 +14,7 @@ from certreal.core import (
 from certreal.integration import gamma
 from certreal.powerseries import (
     PowerSeries,
+    RadiusInfo,
     _atan_inverse_integer,
     _recentre,
     binomial_series,
@@ -109,6 +110,22 @@ def test_cauchy_product_with_zero():
     anything = make_power_series("exp")
     zero = make_power_series("zero")
     assert anything.cauchy_product(zero).coeffs(6) == [0] * 7
+
+
+def test_sum_and_product_radius_is_a_lower_bound():
+    # add and cauchy_product share one rule: a zero radius wins, the smaller
+    # known radius bounds the rest, and an unknown or window radius gives
+    # the window (0, 0)
+    geo, fact, exp_ps = (make_power_series(f) for f in ("geometric", "factorial", "exp"))
+    unknown = PowerSeries(lambda n: F(1))
+    window = RadiusInfo("window", window=Enclosure(0, 0), at_least=True)
+    for combine in (PowerSeries.add, PowerSeries.cauchy_product):
+        assert combine(geo, fact).radius_info == RadiusInfo("zero", at_least=True)
+        assert combine(unknown, fact).radius_info.kind == "zero"
+        assert combine(geo, exp_ps).radius_info == RadiusInfo("exact", F(1), at_least=True)
+        assert combine(exp_ps, exp_ps).radius_info == RadiusInfo("infinite", at_least=True)
+        assert combine(unknown, geo).radius_info == window
+        assert combine(geo, combine(unknown, geo)).radius_info == window
 
 
 def test_cauchy_product_geometric_squared():
@@ -391,6 +408,33 @@ def _reference_atan_inverse_integer(m: int, digits: int) -> Enclosure:
 def test_atan_inverse_integer_matches_fraction_loop(m, digits):
     enc, ref = _atan_inverse_integer(m, digits), _reference_atan_inverse_integer(m, digits)
     assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+
+
+def test_ratio_series_match_the_fraction_loops_at_their_guards():
+    # a deterministic grid through the guard boundaries, where the first
+    # index the kernel may stop at decides the endpoints: it holds every
+    # q = a/b on which (k+1) b = 2a (exp) or k b = 2|a| (sin/cos) has an
+    # integer solution k, and the points between them.  At digits 0, 1 and
+    # 4 the guard binds up to q = 3/2; past it the size test binds long after
+    # the guard, so the grid stops at q = 4.
+    for b in range(1, 13):
+        for a in range(1, 4 * b + 1):
+            for digits in (0, 1, 4):
+                q = F(a, b)
+                enc, ref = exp_enclosure(q, digits), _reference_exp(q, digits)
+                assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (q, digits)
+                for x in (q, -q):
+                    for enclosure, cosine in ((sin_enclosure, False), (cos_enclosure, True)):
+                        enc, ref = enclosure(x, digits), _reference_sin_like(x, digits, cosine)
+                        assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (x, digits, cosine)
+
+
+def test_atan_inverse_integer_matches_fraction_loop_on_a_grid():
+    # atan(1) converges like 1/k, so m = 1 stops at 3 digits
+    for m in range(1, 51):
+        for digits in range(31 if m > 1 else 4):
+            enc, ref = _atan_inverse_integer(m, digits), _reference_atan_inverse_integer(m, digits)
+            assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (m, digits)
 
 
 def test_constants_e_matches_the_factorial_sum():
