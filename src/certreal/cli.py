@@ -380,8 +380,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
         raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
     # an improper integral's finite end at 0 is a singular end, outside every window;
     # an upper end 0 only for an even p < 0, where x^p = |x|^p > 0 on [lo, 0)
-    singular_hi = (args.improper and power is not None and hi == 0 and lo is not None
-                   and lo < 0 and exponent < 0 and exponent.numerator % 2 == 0)
+    singular_hi = (args.improper and power is not None and hi == 0 and (lo is None or lo < 0)
+                   and exponent < 0 and exponent.numerator % 2 == 0)
     at_zero = (below or (lo == 0 and not args.improper)) and (hi is None or hi >= 0)
     if power and exponent.denominator == 1 and exponent < 0 and at_zero and not singular_hi:
         raise UsageError(f"{args.fn} is unbounded at 0; [{args.a}, {args.b}] contains 0")

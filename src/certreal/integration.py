@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence, Union
 
@@ -478,6 +478,15 @@ def _running_darboux(
 
 # --- improper integrals -----------------------------------------------------
 
+_P_RANGES = {  # kind: (the p its bound holds for, as a test and as text)
+    "p_at_inf": (lambda p: p > 1, "p > 1"),
+    "exp_at_inf": (lambda p: p > 0, "p > 0"),
+    "p_at_zero": (lambda p: 0 < p < 1, "0 < p < 1"),
+    "minorant_p_at_inf": (lambda p: p <= 1, "p <= 1"),
+    "minorant_p_at_zero": (lambda p: p >= 1, "p >= 1"),
+}
+
+
 @dataclass(frozen=True)
 class Comparison:
     """Registered comparison partner for one improper end.
@@ -491,7 +500,9 @@ class Comparison:
     a certified divergence witness), "minorant_p_at_zero" (f >= const t^-p
     >= 0 at distance t > 0 inward from the singular endpoint, for small t,
     p >= 1: likewise).  The "_at_inf" kinds apply on whichever end is
-    infinite, the "_at_zero" kinds on whichever end is singular.
+    infinite, the "_at_zero" kinds on whichever end is singular.  Any other
+    kind, a p outside its kind's range or a const <= 0 is a ValueError, so
+    every upper bound falls to 0 along the schedule.
     """
 
     kind: str
@@ -499,7 +510,23 @@ class Comparison:
     const: Fraction = Fraction(1)
     from_x: Fraction = Fraction(1)
 
+    def __post_init__(self) -> None:
+        if self.kind not in _P_RANGES:
+            raise ValueError(f"unknown comparison kind {self.kind!r}")
+        holds, needs = _P_RANGES[self.kind]
+        if self.p is None or not holds(self.p) or not self.const > 0:
+            raise ValueError(f"{self.kind} needs {needs} and const > 0")
+
+    def _power_digits(self, digits: int) -> int:
+        """Digits for the power in a bound factor * power, factor = const/|1 - p|
+        (const/p for "exp_at_inf").  The power is at most 10^-digits too
+        high; a factor below 100 costs no extra digit, so the bound is at
+        most 10^(2 - digits) above the true one whatever the factor."""
+        factor = self.const / (self.p if self.kind == "exp_at_inf" else abs(1 - self.p))
+        return digits + max(0, len(str(int(factor))) - 2)
+
     def tail_bound(self, big_t: Fraction, digits: int) -> Fraction:
+        digits = self._power_digits(digits)
         if self.kind == "p_at_inf":
             exponent = 1 - self.p
             if exponent.denominator == 1:
@@ -516,9 +543,7 @@ class Comparison:
     def head_bound(self, eps: Fraction, digits: int) -> Fraction:
         if self.kind != "p_at_zero":
             raise ValueError(f"{self.kind} has no head bound")
-        if not 0 < self.p < 1:
-            raise ValueError("p_at_zero needs 0 < p < 1")
-        power = rational_power_enclosure(eps, 1 - self.p, digits).hi
+        power = rational_power_enclosure(eps, 1 - self.p, self._power_digits(digits)).hi
         return self.const * power / (1 - self.p)
 
 
@@ -578,11 +603,7 @@ def _bound_exceeds(comp: Comparison, at: Fraction, thr: Fraction) -> bool:
     """Whether the true tail bound beyond T = at ("p_at_inf") or head bound
     within eps = at ("p_at_zero"), c at^e / |e| with e = 1 - p, exceeds
     thr, decided in integers: with y = thr |e| / c and e = -a/b, at^e > y
-    iff 1 > y^b at^a; with e = a/b, iff at^a > y^b.  False for any other
-    kind, p or const, which have no such test."""
-    if not ((comp.kind == "p_at_inf" and comp.p > 1)
-            or (comp.kind == "p_at_zero" and 0 < comp.p < 1)) or comp.const <= 0:
-        return False
+    iff 1 > y^b at^a; with e = a/b, iff at^a > y^b."""
     e = 1 - comp.p
     y, a, b = thr * abs(e) / comp.const, abs(e.numerator), e.denominator
     return 1 > y**b * at**a if e < 0 else at**a > y**b
@@ -591,37 +612,37 @@ def _bound_exceeds(comp: Comparison, at: Fraction, thr: Fraction) -> bool:
 def improper_integral(
     spec: ImproperSpec,
     target_width: RationalLike = Fraction(1, 10**6),
-    max_steps: int = 60,
 ) -> Verdict:
-    """Improper integral over a doubling/shrinking schedule.
+    """Improper integral over a doubling/shrinking schedule of windows.
 
     Convergence is certified only through a registered comparison partner
     with an explicit tail (or head) bound; the finite core is evaluated by
     `integrate_enclosure` on the window `_window` cuts out, on whichever
     side the infinite or singular end lies.  Without a partner the verdict
-    is Inconclusive and the trace carries the partial integrals.  A
-    registered minorant ("minorant_p_at_inf" at an infinite end,
-    "minorant_p_at_zero" at a singular end) certifies divergence.
+    is Inconclusive and the trace carries the partial integrals of eight
+    windows.  A registered minorant ("minorant_p_at_inf" at an infinite
+    end, "minorant_p_at_zero" at a singular end) certifies divergence.
 
-    Step j of the schedule has T = T_0 2^j and eps = 2^-(j+1), and bounds
-    the part outside its window first: `rest`, the tail and/or head bound,
-    enters the enclosure as [0, rest] for a nonnegative integrand and
-    [-rest, rest] otherwise.  The core of the window is integrated only
-    when that partner interval is no wider than the target, or at the last
-    step.  A skipped window cannot stop the loop: its enclosure core +
-    partner is at least as wide as the partner, which is wider than the
-    target.  So the stopping window, the value and the certificate are
-    those of the full schedule, and the trace lists only the windows whose
-    core was integrated.
+    Step j has T = T_0 2^j and eps = 2^-(j+1).  `rest`, the tail and/or
+    head bound outside its window, enters the enclosure as the partner
+    [0, rest] for a nonnegative integrand and [-rest, rest] otherwise; the
+    core inside the window is integrated to target/2.
 
-    The loop starts at the first step that can certify, found by bisection
-    without rounding: the true power-law bound falls strictly in j, and
-    `_bound_exceeds` compares it exactly with the part of the target the
-    partner may take (all of it when nonnegative, half otherwise).  The
-    computed `rest` is never below the true bound, so every step the search
-    passes over is one the loop would skip; the answer and the trace are
-    unchanged.  An "exp_at_inf" partner has no exact test, and its loop
-    starts at step 0.
+    The walk starts at the first step whose true power-law bound is at
+    most thr, the part of the target the partner may take (all of it when
+    nonnegative, half otherwise).  The bound falls strictly in j and
+    `_bound_exceeds` compares it with thr exactly, so doubling an upper
+    step and bisecting below it finds that step; the rounded `rest` is
+    never below the true bound, so every step passed over has a partner
+    wider than the target.  An "exp_at_inf" partner has no exact test and
+    walks from step 0: const/p e^(-pT) fits after about
+    log2(ln(1/thr)/p) steps, at most 8 at 1e-100 with p = 1.
+
+    From there a step skips its window while the partner is wider than
+    the target (core + partner cannot fit) and integrates the core
+    otherwise.  The walk stops Converges at the first window whose core
+    converged and whose core + partner fits, and Inconclusive at the first
+    core that did not converge.  The trace lists the integrated windows.
     """
     target = to_rational(target_width)
     digits = _digits_for(target, 4)
@@ -635,13 +656,13 @@ def improper_integral(
     singular = spec.singular_lo or spec.singular_hi
     for comp in spec.comparisons:
         if comp.kind == "minorant_p_at_inf":
-            if comp.p > 1 or not unbounded:
-                raise ValueError("divergence minorant needs p <= 1 and an infinite end")
+            if not unbounded:
+                raise ValueError("a divergence minorant at infinity needs an infinite end")
             minorant = f"{comp.const} * x^{-comp.p} for |x| >= {comp.from_x}"
             reason = "integral of the minorant over [from_x, T) is unbounded in T"
         elif comp.kind == "minorant_p_at_zero":
-            if comp.p < 1 or not singular:
-                raise ValueError("divergence minorant needs p >= 1 and a singular end")
+            if not singular:
+                raise ValueError("a divergence minorant at zero needs a singular end")
             minorant = f"{comp.const} * t^{-comp.p} at distance t from the singular end"
             reason = "integral of the minorant over [eps, 1] is unbounded as eps -> 0"
         else:
@@ -656,31 +677,44 @@ def improper_integral(
     tail_comp = next((c for c in spec.comparisons if c.kind in ("p_at_inf", "exp_at_inf")), None)
     head_comp = next((c for c in spec.comparisons if c.kind == "p_at_zero"), None)
     if (unbounded and tail_comp is None) or (singular and head_comp is None):
-        return _improper_trace_only(spec, max_steps, digits)
+        return _improper_trace_only(spec, digits)
 
     first_t = _first_t(spec, max(Fraction(2), tail_comp.from_x) if tail_comp else Fraction(2))
     thr = target if spec.nonnegative else target / 2
 
-    def too_wide(step: int) -> bool:  # the true partner bound alone is wider than thr
-        return (unbounded and _bound_exceeds(tail_comp, first_t * 2**step, thr)) or (
-            singular and _bound_exceeds(head_comp, Fraction(1, 2 ** (step + 1)), thr)
-        )
+    def too_wide(step: int) -> bool:  # the true power-law bound alone is wider than thr
+        return (unbounded and tail_comp.kind == "p_at_inf"
+                and _bound_exceeds(tail_comp, first_t * 2**step, thr)) or (
+            singular and _bound_exceeds(head_comp, Fraction(1, 2 ** (step + 1)), thr))
 
-    first = bisect_left(range(max_steps - 1), True, key=lambda step: not too_wide(step))
+    # Termination: the true bounds fall to 0 in j (`Comparison` admits no
+    # other p), so the doubling ends.
+    top = 64
+    while too_wide(top - 1):
+        top *= 2
+    first = bisect_left(range(top), True, key=lambda j: not too_wide(j))
     trace: list = []
-    for step in range(first, max_steps):
+    # Termination: each rounded bound is at most 10^(2 - digits) <= target/100
+    # above the true one (`Comparison._power_digits`), so the partner is at
+    # most target/25 wider than the true bounds give, and those fall to 0.
+    # Some step's partner is then at most target/2 wide, and there a core
+    # that converged (at most target/2 wide) certifies; one that did not
+    # has stopped the walk.
+    for step in count(first):
         big_t, eps = first_t * 2**step, Fraction(1, 2 ** (step + 1))
         rest = tail_comp.tail_bound(big_t, digits) if unbounded else Fraction(0)
         if singular:
             rest += head_comp.head_bound(eps, digits)
         partner = Enclosure(Fraction(0) if spec.nonnegative else -rest, rest)
-        if partner.width() > target and step < max_steps - 1:
+        if partner.width() > target:
             continue  # core + partner is wider than the target: this window cannot stop
         lo, hi = _window(spec, big_t, eps)
         core = integrate_enclosure(spec.integrand, lo, hi, target / 2, digits=digits)
         enclosure = core.enclosure + partner
         trace.append(("window", (str(lo), str(hi)), enclosure))
-        if core.status is Status.CONVERGES and enclosure.width() <= target:
+        if core.status is not Status.CONVERGES:
+            return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
+        if enclosure.width() <= target:
             cert = ImproperCertificate(
                 "comparison_majorant",
                 {
@@ -691,14 +725,13 @@ def improper_integral(
                 asserted=("the comparison inequalities hold beyond the checked range",),
             )
             return Verdict(Status.CONVERGES, cert, enclosure, trace=tuple(trace))
-    return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
 
 
-def _improper_trace_only(spec: ImproperSpec, max_steps: int, digits: int) -> Verdict:
+def _improper_trace_only(spec: ImproperSpec, digits: int) -> Verdict:
     trace: list = []
     big_t = _first_t(spec, Fraction(2))
     eps = Fraction(1, 2)
-    for _ in range(min(max_steps, 8)):
+    for _ in range(8):
         lo, hi = _window(spec, big_t, eps)
         try:
             core = integrate_enclosure(spec.integrand, lo, hi, Fraction(1, 1000), digits=digits)

@@ -359,7 +359,6 @@ def test_power_function_refuses_negative_intervals(capsys):
         (["x^-1", "-2", "-1"], "lives on [0, inf)"),
         (["x^-2", "-1", "1"], "unbounded at 0"),
         (["x^-3", "0", "1"], "unbounded at 0"),
-        (["x^-2", "--improper", "--", "-inf", "0"], "unbounded at 0"),
     ):
         code, out, err = run(capsys, "integrate", *argv)
         assert code == 1 and out == ""
@@ -368,10 +367,10 @@ def test_power_function_refuses_negative_intervals(capsys):
 
 def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):
     # x^p = |x|^p = t^p on [lo, 0) for an even p <= -2, with t the distance
-    # to 0: the head minorant certifies divergence.  An odd power is
-    # negative there and has no minorant, and a proper integral stays an
-    # error; x^2 on [-1, 0] has no singular end and converges
-    for fn, lo in (("x^-2", "-1"), ("x^-4", "-1/2")):
+    # to 0: the head minorant certifies divergence, also with lo = -inf.  An
+    # odd power is negative there and has no minorant, and a proper integral
+    # stays an error; x^2 on [-1, 0] has no singular end and converges
+    for fn, lo in (("x^-2", "-1"), ("x^-4", "-1/2"), ("x^-2", "-inf")):
         code, out, _ = run(capsys, "integrate", fn, "--improper", "--json", "--", lo, "0")
         payload = json.loads(out)
         assert code == 0 and payload["status"] == "Diverges", fn
@@ -384,6 +383,36 @@ def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["status"] == "Converges"
     assert F(payload["enclosure"]["lo_exact"]) <= F(1, 3) <= F(payload["enclosure"]["hi_exact"])
+
+
+@pytest.mark.parametrize("argv,width,square", [
+    # the enclosure [lo, hi] with lo >= 0 holds v iff lo^2 <= v^2 <= hi^2
+    (["x^-1/2", "0", "1"], "1e-9", F(4)),  # 2 sqrt(b)
+    (["x^-1/2", "0", "3"], "1e-30", F(12)),
+    (["x^-1/2", "0", "7/4"], "1e-100", F(7)),
+    (["x^-3/2", "1", "inf"], "1e-9", F(4)),  # 2 a^-1/2
+    (["x^-3/2", "5/2", "inf"], "1e-30", F(8, 5)),
+    (["x^-3/2", "3", "inf"], "1e-100", F(4, 3)),
+    (["x^-5/4", "1", "inf"], "1e-6", F(16)),  # 4
+    (["x^-5/4", "1", "inf"], "1e-12", F(16)),
+    (["x^-2/3", "0", "1"], "1e-6", F(9)),  # 3
+])
+def test_power_integrals_certify_at_tight_widths(monkeypatch, capsys, argv, width, square):
+    from certreal import integration
+
+    windows = []
+    integrate = integration.integrate_enclosure
+    monkeypatch.setattr(integration, "integrate_enclosure", lambda f, a, b, *args, **kwargs:
+                        windows.append((a, b)) or integrate(f, a, b, *args, **kwargs))
+    # the first fitting step lies beyond step 60 in each case
+    code, out, _ = run(capsys, "integrate", *argv, "--improper", "--width", width, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "Converges", argv
+    lo, hi = F(payload["enclosure"]["lo_exact"]), F(payload["enclosure"]["hi_exact"])
+    assert 0 <= lo and lo * lo <= square <= hi * hi and hi - lo <= F(width), argv
+    # one window, whose T or 1/eps has O(log(1/width)) bits: at most 700 at 1e-100
+    [(a, b)] = windows
+    assert (b if argv[2] == "inf" else 1 / a).numerator.bit_length() <= 700, argv
 
 
 def test_integer_powers_below_zero(capsys):

@@ -80,6 +80,11 @@ ARGVS = [
     ["integrate", "x^-2", "--improper", "--", "-1", "0"],
     ["integrate", "x^-2", "0", "1", "--improper"],
     ["integrate", "x^-1", "0", "1", "--improper"],
+    ["integrate", "x^-2/3", "0", "1", "--improper"],
+    ["integrate", "x^-5/4", "1", "inf", "--improper"],
+    ["integrate", "x^-1/2", "0", "1", "--improper", "--width", "1e-30"],
+    ["integrate", "x^-3/2", "1", "inf", "--improper", "--width", "1e-100"],
+    ["integrate", "x^-2", "--improper", "--", "-inf", "0"],
     ["integrate", "poly:x^2", "4", "1"],
     ["constants", "e", "--terms", "20"],
     ["constants", "ln2", "--terms", "1000"],
@@ -169,6 +174,13 @@ def test_cli_output_matches_golden(argv, json_mode):
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_library_result_matches_golden(name):
     assert _library_hash(name) == json.loads(DATA.read_text())["lib " + name]
+
+
+def test_golden_keys_are_exactly_the_cases():
+    # a stale key, or an argv or library case added without its data, fails by name
+    stored = set(json.loads(DATA.read_text()))
+    expected = {_key(*case) for case in CASES} | {"lib " + name for name in LIBRARY}
+    assert sorted(stored - expected) == [] and sorted(expected - stored) == []
 
 
 def _regenerate(only: list[str]) -> int:
