@@ -16,6 +16,7 @@ from math import comb, gcd
 from typing import Callable, Iterator, Optional, Union
 
 from certreal.core import (
+    Certificate,
     Enclosure,
     FnDescriptor,
     RationalLike,
@@ -26,7 +27,7 @@ from certreal.core import (
     to_rational,
 )
 from certreal.sequences import TermStream
-from certreal.series import DEFAULT_POLICY, SeriesHandle, TestCertificate, classify
+from certreal.series import DEFAULT_POLICY, SeriesHandle, classify
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,11 @@ def weierstrass_m_test(bounds: TermStream, horizon: int = 128) -> Verdict:
     )
     inner = classify(handle, DEFAULT_POLICY, horizon)
     if inner.status is Status.CONVERGES:
-        cert = TestCertificate(
+        cert = Certificate.from_reduction(
+            inner.certificate,
             "registered:weierstrass_m",
             {"bound_series_test": inner.certificate.test},
-            machine_checked=inner.certificate.machine_checked,
-            asserted=("|f_n| <= M_n on the whole domain",) + inner.certificate.asserted,
+            asserted=("|f_n| <= M_n on the whole domain",),
             detail="sum M_n converges, so sum f_n converges absolutely and uniformly",
         )
         return Verdict(Status.CONVERGES, cert, trace=inner.trace)
@@ -273,8 +274,6 @@ def gallery(name: str, **params) -> FnDescriptor:
             ),
         )
     if name == "flat_bump":
-        digits = int(params.get("digits", 20))
-
         def bump_eval(x: Fraction, d: int) -> Enclosure:
             from certreal.powerseries import exp_enclosure
 

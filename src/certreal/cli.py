@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from certreal import approx, integration, powerseries, series
 from certreal.core import (
+    Certificate,
     Enclosure,
     FnDescriptor,
     Status,
@@ -137,8 +138,9 @@ def resolve_function(spec: str) -> FnDescriptor:
     """Resolve a mini-grammar function spec to a descriptor with metadata.
 
     Forms: "poly:<polynomial>", "gallery:<name>[:params]" with names
-    step5, dirichlet, bump, smoothstep:<a>:<b>, sawtooth:<levels>,
-    unit-step, and "x^<rational>" for power functions on (0, inf).
+    step5, dirichlet, bump, smoothstep:<a>:<b>, sawtooth[:<levels>],
+    unit-step, and "x^<p>" for rational p (undefined at 0 for p < 0 and
+    below 0 for a non-integer p).
     """
     if spec.startswith("poly:"):
         return poly_descriptor(parse_polynomial(spec[5:]), name=spec[5:])
@@ -156,16 +158,29 @@ def resolve_function(spec: str) -> FnDescriptor:
                 raise UsageError("smoothstep needs gallery:smoothstep:<a>:<b>")
             return approx.gallery("smooth_step", a=_fraction(parts[1]), b=_fraction(parts[2]))
         if name == "sawtooth":
-            levels = int(parts[1]) if len(parts) > 1 else 12
+            levels = _sawtooth_levels(spec)
+            if levels is None:
+                raise UsageError(f"{spec!r}: use gallery:sawtooth[:<levels>] with levels >= 0")
             return approx.gallery("sawtooth", levels=levels)
         if name == "unit-step":
             return approx.gallery("unit_step")
         raise UsageError(f"unknown gallery function {name!r}")
-    power_match = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", spec)
-    if power_match:
-        exponent = _fraction(power_match.group(1))
+    exponent = _power_exponent(spec)
+    if exponent is not None:
         return _power_function(exponent)
     raise UsageError(f"cannot resolve function spec {spec!r}")
+
+
+def _power_exponent(spec: str) -> Optional[Fraction]:
+    """p for a spec "x^<p>", else None."""
+    match = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", spec)
+    return _fraction(match.group(1)) if match else None
+
+
+def _sawtooth_levels(spec: str) -> Optional[int]:
+    """The level cap of a spec "gallery:sawtooth[:<levels>]" (12 if absent), else None."""
+    match = re.fullmatch(r"gallery:sawtooth(?::(\d+))?", spec)
+    return (int(match.group(1)) if match.group(1) else 12) if match else None
 
 
 def _power_function(exponent: Fraction) -> FnDescriptor:
@@ -174,7 +189,8 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
     An integer power p is exact wherever it is defined (p < 0: away from
     0), with monotone pieces on either side of 0 read off the parity of p
     and the exact antiderivative x**(p+1)/(p+1) (ln x, on (0, inf), for
-    p = -1).  A non-integer power lives on [0, inf).
+    p = -1).  A non-integer power lives on [0, inf) (on (0, inf) when
+    negative).
     """
     if exponent.denominator == 1:
         p = int(exponent)
@@ -201,9 +217,9 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
         return rational_power_enclosure(x, next_e, d).scale(1 / next_e)
 
     def eval_enc(x: Fraction, d: int) -> Enclosure:
-        if x <= 0:
-            raise ValueError("power functions here live on (0, inf)")
-        return rational_power_enclosure(x, exponent, d)
+        if x < 0 or (x == 0 and exponent < 0):
+            raise ValueError(f"x^{exponent} is undefined at {x}")
+        return Enclosure.point(0) if x == 0 else rational_power_enclosure(x, exponent, d)
 
     return FnDescriptor(
         name=f"x^{exponent}",
@@ -262,16 +278,18 @@ def _jsonable(value, digits: int):
     return str(value)
 
 
-def _certificate_payload(cert, digits: int) -> Optional[dict]:
+def _certificate_payload(cert: Optional[Certificate], digits: int) -> Optional[dict]:
+    """The certificate's five fields; an empty `asserted` or `detail` is left out."""
     if cert is None:
         return None
-    payload = {"test": getattr(cert, "test", getattr(cert, "kind", "registered"))}
-    payload["witnesses"] = _jsonable(getattr(cert, "witnesses", {}), digits)
-    if hasattr(cert, "machine_checked"):
-        payload["machine_checked"] = cert.machine_checked
-    if getattr(cert, "asserted", ()):
+    payload = {
+        "test": cert.test,
+        "witnesses": _jsonable(cert.witnesses, digits),
+        "machine_checked": cert.machine_checked,
+    }
+    if cert.asserted:
         payload["asserted"] = list(cert.asserted)
-    if getattr(cert, "detail", ""):
+    if cert.detail:
         payload["detail"] = cert.detail
     return payload
 
@@ -284,7 +302,7 @@ class Report:
         self.inputs = inputs
         self.status: Optional[str] = None
         self.enclosure: Optional[Enclosure] = None
-        self.certificate = None
+        self.certificate: Optional[Certificate] = None
         self.trace: list = []
         self.extras: dict = {}
 
@@ -371,8 +389,8 @@ def cmd_integrate(args) -> tuple[Report, int]:
         {"fn": args.fn, "a": args.a, "b": args.b, "width": args.width,
          "improper": bool(args.improper)},
     )
-    power = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", args.fn)
-    exponent = _fraction(power.group(1)) if power else None
+    exponent = _power_exponent(args.fn)
+    power = exponent is not None
     lo = None if args.a == "-inf" else _fraction(args.a)
     hi = None if args.b == "inf" else _fraction(args.b)
     below = lo is None or lo < 0
@@ -380,7 +398,7 @@ def cmd_integrate(args) -> tuple[Report, int]:
         raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
     # an improper integral's finite end at 0 is a singular end, outside every window;
     # an upper end 0 only for an even p < 0, where x^p = |x|^p > 0 on [lo, 0)
-    singular_hi = (args.improper and power is not None and hi == 0 and (lo is None or lo < 0)
+    singular_hi = (args.improper and power and hi == 0 and (lo is None or lo < 0)
                    and exponent < 0 and exponent.numerator % 2 == 0)
     at_zero = (below or (lo == 0 and not args.improper)) and (hi is None or hi >= 0)
     if power and exponent.denominator == 1 and exponent < 0 and at_zero and not singular_hi:
@@ -412,11 +430,11 @@ def cmd_integrate(args) -> tuple[Report, int]:
                 )
         spec = integration.ImproperSpec(
             f, lo, hi,
-            singular_lo=(lo == 0 and power is not None and exponent < 0),
+            singular_lo=(lo == 0 and power and exponent < 0),
             singular_hi=singular_hi,
             comparisons=tuple(comparisons),
             # x^p >= 0 unless p is odd and the interval reaches below 0
-            nonnegative=power is not None and (exponent.numerator % 2 == 0 or not below),
+            nonnegative=power and (exponent.numerator % 2 == 0 or not below),
         )
         verdict = integration.improper_integral(spec, width)
         report.status = verdict.status.value
@@ -558,11 +576,17 @@ def cmd_sample(args) -> tuple[Report, int]:
     digits = args.digits
     first, step, den = _grid(a, b, args.grid)
     xs = [first + i * step for i in range(args.grid + 1)]  # x = xs[i]/den
+    exponent = _power_exponent(args.fn)
+    if exponent is not None:
+        span = f"--from/--to [{a}, {b}]"
+        if exponent.denominator != 1 and a < 0:
+            raise UsageError(f"{args.fn} lives on [0, inf); {span} reaches below 0")
+        if exponent < 0 and 0 in xs:
+            raise UsageError(f"{args.fn} is unbounded at 0; the grid of {span} contains 0")
     if args.per_layer:
-        match = re.fullmatch(r"gallery:sawtooth(?::(\d+))?", args.fn)
-        if not match:
+        levels = _sawtooth_levels(args.fn)
+        if levels is None:
             raise UsageError("--per-layer applies to gallery:sawtooth specs only")
-        levels = int(match.group(1)) if match.group(1) else 12
         layers = approx.SawtoothSeries(levels).layer_numerators
         lines = ["x,value,layer"]
         for x in xs:

@@ -158,6 +158,28 @@ class Status(Enum):
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """The test that settled a verdict, with named witness values.
+
+    machine_checked covers exactly the prefix facts this library verified;
+    `asserted` lists the tail claims that remain the caller's contract.
+    """
+
+    test: str
+    witnesses: dict
+    machine_checked: bool = True
+    asserted: tuple[str, ...] = ()
+    detail: str = ""
+
+    @classmethod
+    def from_reduction(cls, inner: Certificate, test: str, witnesses: dict,
+                       asserted: tuple[str, ...] = (), detail: str = "") -> Certificate:
+        """A verdict read off another one: it is machine-checked only as far
+        as `inner` is, and it assumes `asserted` and then all `inner` assumes."""
+        return cls(test, witnesses, inner.machine_checked, asserted + inner.asserted, detail)
+
+
+@dataclass(frozen=True)
 class Verdict:
     """Three-valued convergence result with a named certificate.
 
@@ -166,7 +188,7 @@ class Verdict:
     """
 
     status: Status
-    certificate: Optional[object] = None
+    certificate: Optional[Certificate] = None
     value: Optional[Enclosure] = None
     trace: tuple = ()
 

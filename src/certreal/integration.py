@@ -18,6 +18,7 @@ from math import comb, factorial
 from typing import Iterator, Optional, Sequence, Union
 
 from certreal.core import (
+    Certificate,
     Enclosure,
     FnDescriptor,
     MissingMetadataError,
@@ -569,13 +570,6 @@ class ImproperSpec:
     nonnegative: bool = False
 
 
-@dataclass(frozen=True)
-class ImproperCertificate:
-    kind: str
-    witnesses: dict
-    asserted: tuple[str, ...] = ()
-
-
 def _window(spec: ImproperSpec, big_t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     """The finite interval of one schedule step: an infinite end is cut at
     -big_t or big_t, a singular end is moved inward by eps."""
@@ -667,7 +661,7 @@ def improper_integral(
             reason = "integral of the minorant over [eps, 1] is unbounded as eps -> 0"
         else:
             continue
-        cert = ImproperCertificate(
+        cert = Certificate(
             "comparison_minorant",
             {"minorant": minorant, "reason": reason},
             asserted=("the minorant inequality holds beyond the checked range",),
@@ -715,7 +709,7 @@ def improper_integral(
         if core.status is not Status.CONVERGES:
             return Verdict(Status.INCONCLUSIVE, None, None, trace=tuple(trace))
         if enclosure.width() <= target:
-            cert = ImproperCertificate(
+            cert = Certificate(
                 "comparison_majorant",
                 {
                     "tail": f"<= {tail_comp.const} * partner at T={big_t}" if unbounded else None,

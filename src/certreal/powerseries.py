@@ -793,11 +793,10 @@ def constants(which: str, n: int) -> Enclosure:
     if n < 1:
         raise ValueError("n must be >= 1")
     if which == "e":
-        # S_k = k S_(k-1) + 1 (S_0 = 1) gives sum_(k<=n) 1/k! = S_n / n!
-        s, fact = 1, 1
-        for k in range(1, n + 1):
-            s, fact = s * k + 1, fact * k
-        return Enclosure(Fraction(s, fact), Fraction(s * (n + 1) + 3, fact * (n + 1)))
+        # Terms 1/k!, ratio 1/(k+1).  With scale 1 the kernel stops at
+        # exactly k = n, since t_(n+1) = 1/(n+1)! <= 1.
+        num, den, mid, term, nxt_den = _ratio_sum(1, 1, (1, 0), (1, 1, 0), n, 1)
+        return Enclosure(Fraction(num, den), Fraction(mid + 3 * term, nxt_den))
     if which in ("ln2", "pi_over_4"):
         from certreal.series import _alternating_bracket
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from certreal.core import (
+    Certificate,
     Enclosure,
     FnDescriptor,
     RationalLike,
@@ -264,14 +265,6 @@ def limsup_liminf_window(s: TermStream, n: int, W: int) -> WindowStats:
     return WindowStats(n, W, lo_val, hi_val, lo_idx, hi_idx)
 
 
-@dataclass(frozen=True)
-class LimitCertificate:
-    test: str
-    witnesses: dict
-    machine_checked: bool
-    asserted: tuple[str, ...] = ()
-
-
 def detect_limit(
     s: TermStream,
     mode: str,
@@ -316,10 +309,9 @@ def detect_limit(
             enclosure = Enclosure(bound, last)
         if s.tail_enclosure is not None:
             enclosure = enclosure.intersect(s.tail_enclosure(horizon))
-        cert = LimitCertificate(
+        cert = Certificate(
             "monotone_convergence",
             {"horizon": horizon, "bound": bound, "last_term": last},
-            machine_checked=True,
             asserted=(f"monotone {monotone} beyond horizon", "bound holds for all n"),
         )
         return Verdict(Status.CONVERGES, cert, enclosure)
@@ -338,7 +330,7 @@ def detect_limit(
             "eps": eps,
         }
         if oscillation is not None and oscillation < eps:
-            cert = LimitCertificate("cauchy_window", witnesses, machine_checked=False)
+            cert = Certificate("cauchy_window", witnesses, machine_checked=False)
             return Verdict(Status.CONVERGES, cert, None, trace=("empirical",))
         return Verdict(Status.INCONCLUSIVE, None, None, trace=(("cauchy_window", witnesses),))
     raise ValueError(f"unknown mode {mode!r}")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Callable, Optional, Union
 
 from certreal.core import (
+    Certificate,
     Enclosure,
     RationalLike,
     Status,
@@ -26,43 +27,10 @@ from certreal.core import (
 )
 from certreal.sequences import TermStream, partial_sum_stream
 
-TEST_NAMES = (
-    "nth_term",
-    "geometric",
-    "p_series",
-    "comparison",
-    "limit_comparison",
-    "integral",
-    "alternating",
-    "ratio",
-    "root",
-    "cauchy_criterion",
-    "abs_convergence",
-)
-
 # Partner-free tests in the practical checking order: vanishing terms
 # first, then the named structural families, then alternating, then the
 # root/ratio pair.
 DEFAULT_POLICY = ("nth_term", "geometric", "p_series", "alternating", "root", "ratio")
-
-
-@dataclass(frozen=True)
-class TestCertificate:
-    """Which test fired, with named witness values.
-
-    machine_checked covers exactly the prefix facts this library verified;
-    `asserted` lists the tail claims that remain the caller's contract.
-    """
-
-    test: str
-    witnesses: dict
-    machine_checked: bool = True
-    asserted: tuple[str, ...] = ()
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.test not in TEST_NAMES and not self.test.startswith("registered"):
-            raise ValueError(f"unknown test {self.test!r}")
 
 
 @dataclass
@@ -165,7 +133,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
         if abs(par["r"]) >= 1:
             if par["a"] == 0:
                 return None, "terms identically zero"
-            cert = TestCertificate(
+            cert = Certificate(
                 "nth_term",
                 {"r": par["r"], "term_magnitude_lower_bound": abs(par["a"])},
                 detail="|a_n| = |a| |r|^(n-1) >= |a| > 0 for |r| >= 1",
@@ -174,7 +142,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
         return None, "terms -> 0 (registered: |r| < 1)"
     if fam == "p_series":
         if par["p"] <= 0:
-            cert = TestCertificate(
+            cert = Certificate(
                 "nth_term",
                 {"p": par["p"]},
                 detail="n**-p >= 1 for p <= 0",
@@ -188,7 +156,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
         threshold = abs(1 / x)
         start = int(threshold) + 1  # (n+1)|x| >= 1 from here on
         anchor = abs(s.term(start))
-        cert = TestCertificate(
+        cert = Certificate(
             "nth_term",
             {"N": start, "term_magnitude_lower_bound": anchor},
             detail="|a_{n+1}/a_n| = (n+1)|x| >= 1 for n >= N, so |a_n| >= |a_N| > 0",
@@ -204,7 +172,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
         return None, "skipped (terms not exact)"
     magnitudes = [abs(v) for v in window]
     if min(magnitudes) > 0 and all(a <= b for a, b in zip(magnitudes, magnitudes[1:])):
-        cert = TestCertificate(
+        cert = Certificate(
             "nth_term",
             {"window": (lo, horizon), "term_magnitude_lower_bound": min(magnitudes)},
             machine_checked=False,
@@ -220,7 +188,7 @@ def _test_geometric(s: SeriesHandle, horizon: int, ctx: dict):
     a, r = s.params["a"], s.params["r"]
     if abs(r) < 1:
         total = a / (1 - r)
-        cert = TestCertificate(
+        cert = Certificate(
             "geometric",
             {
                 "a": a,
@@ -232,9 +200,9 @@ def _test_geometric(s: SeriesHandle, horizon: int, ctx: dict):
             detail="geometric series converges iff |r| < 1; sum a/(1-r)",
         )
         return Verdict(Status.CONVERGES, cert, Enclosure.point(total)), "fired"
-    cert = TestCertificate("geometric", {"a": a, "r": r}, detail="|r| >= 1")
+    cert = Certificate("geometric", {"a": a, "r": r}, detail="|r| >= 1")
     if a == 0:
-        cert = TestCertificate("geometric", {"a": a, "r": r, "sum": Fraction(0)})
+        cert = Certificate("geometric", {"a": a, "r": r, "sum": Fraction(0)})
         return Verdict(Status.CONVERGES, cert, Enclosure.point(0)), "fired"
     return Verdict(Status.DIVERGES, cert), "fired"
 
@@ -247,13 +215,13 @@ def _test_p_series(s: SeriesHandle, horizon: int, ctx: dict):
         # Integral-test bracket: integral <= sum <= integral + first term.
         integral = 1 / (p - 1)
         value = Enclosure(integral, integral + 1)
-        cert = TestCertificate(
+        cert = Certificate(
             "p_series",
             {"p": p, "integral_lower": 1 / (p - 1)},
             detail="p-series converges iff p > 1; bracket from the integral test",
         )
         return Verdict(Status.CONVERGES, cert, value), "fired"
-    cert = TestCertificate("p_series", {"p": p}, detail="p <= 1")
+    cert = Certificate("p_series", {"p": p}, detail="p <= 1")
     return Verdict(Status.DIVERGES, cert), "fired"
 
 
@@ -281,7 +249,7 @@ def _test_alternating(s: SeriesHandle, horizon: int, ctx: dict):
         return None, f"term {horizon + 1} = {nxt} is larger in magnitude than term {horizon}"
     enclosure = _alternating_bracket([m.numerator for m in mags],
                                      [m.denominator for m in mags], abs(nxt))
-    cert = TestCertificate(
+    cert = Certificate(
         "alternating",
         {
             "horizon": horizon,
@@ -311,7 +279,7 @@ def _certify_window(
         status, detail = Status.DIVERGES, "window entirely above 1 + delta"
     else:
         return None
-    cert = TestCertificate(
+    cert = Certificate(
         test,
         {"window": window, "delta": delta, "trend": trend, **extra},
         asserted=(f"{test} values stay inside the scanned window beyond the horizon",),
@@ -376,14 +344,14 @@ def _test_comparison(s: SeriesHandle, horizon: int, ctx: dict):
     below = all(a <= b for a, b in zip(ours, theirs))
     above = all(a >= b for a, b in zip(ours, theirs))
     if below and partner_verdict.status is Status.CONVERGES:
-        cert = TestCertificate(
+        cert = Certificate(
             "comparison",
             {"partner": partner.terms.name, "direction": "below"},
             asserted=("0 <= a_n <= b_n persists beyond the horizon",),
         )
         return Verdict(Status.CONVERGES, cert), "fired"
     if above and partner_verdict.status is Status.DIVERGES:
-        cert = TestCertificate(
+        cert = Certificate(
             "comparison",
             {"partner": partner.terms.name, "direction": "above"},
             asserted=("a_n >= b_n >= 0 persists beyond the horizon",),
@@ -405,7 +373,7 @@ def _test_limit_comparison(s: SeriesHandle, horizon: int, ctx: dict):
         ratios.append(abs(ours) / theirs)
     window = Enclosure(min(ratios), max(ratios))
     if partner_verdict.status is Status.CONVERGES:
-        cert = TestCertificate(
+        cert = Certificate(
             "limit_comparison",
             {"partner": partner.terms.name, "ratio_window": window},
             machine_checked=False,
@@ -413,7 +381,7 @@ def _test_limit_comparison(s: SeriesHandle, horizon: int, ctx: dict):
         )
         return Verdict(Status.CONVERGES, cert), "fired (empirical)"
     if partner_verdict.status is Status.DIVERGES and window.lo > 0:
-        cert = TestCertificate(
+        cert = Certificate(
             "limit_comparison",
             {"partner": partner.terms.name, "ratio_window": window},
             machine_checked=False,
@@ -428,9 +396,10 @@ def _test_integral(s: SeriesHandle, horizon: int, ctx: dict):
     if integral_spec is None:
         return None, "no integral-test partner supplied"
     f = integral_spec.integrand
-    # machine-check f(n) = a_n on a prefix sample; decreasing-positivity is
-    # the partner contract
-    for n in range(s.n0, min(horizon, s.n0 + 16) + 1):
+    # machine-check f(n) = a_n on a prefix sample (at least one n) from the
+    # integral's lower end on; decreasing-positivity is the partner contract
+    first = s.n0 if integral_spec.lo is None else max(s.n0, ceil(integral_spec.lo))
+    for n in range(first, max(first, min(horizon, first + 16)) + 1):
         term = s.term(n)
         if not isinstance(term, Fraction):
             return None, "integral test needs exact terms"
@@ -441,10 +410,9 @@ def _test_integral(s: SeriesHandle, horizon: int, ctx: dict):
     verdict = integration.improper_integral(integral_spec)
     if verdict.status is Status.INCONCLUSIVE:
         return None, "partner integral inconclusive"
-    cert = TestCertificate(
+    cert = Certificate(
         "integral",
         {"partner": f.name, "integral_status": verdict.status.value},
-        machine_checked=True,
         asserted=("the integrand stays positive and decreasing to 0",),
         detail="series and improper integral of the matching integrand "
         "converge or diverge together",
@@ -456,9 +424,11 @@ def _test_cauchy_criterion(s: SeriesHandle, horizon: int, ctx: dict):
     eps = ctx["eps"]
     lo = max(s.n0, horizon // 2)
     sums = [s.partial_sum(n) for n in range(lo, horizon + 1)]
+    if not all(isinstance(v, Fraction) for v in sums):
+        return None, "cauchy criterion needs exact partial sums"
     oscillation = max(sums) - min(sums)
     if oscillation < eps:
-        cert = TestCertificate(
+        cert = Certificate(
             "cauchy_criterion",
             {"oscillation": oscillation, "eps": eps, "window": (lo, horizon)},
             machine_checked=False,
@@ -477,6 +447,8 @@ _ABS_FAMILY = {
 
 
 def _test_abs_convergence(s: SeriesHandle, horizon: int, ctx: dict):
+    if not isinstance(s.term(s.n0), Fraction):
+        return None, "absolute convergence needs exact terms"
     abs_family, abs_params = _ABS_FAMILY.get(s.family, (None, {}))
     inner = SeriesHandle(
         TermStream(lambda n: abs(s.term(n)), s.n0, f"|{s.terms.name}|"),
@@ -486,11 +458,10 @@ def _test_abs_convergence(s: SeriesHandle, horizon: int, ctx: dict):
     sub_policy = tuple(t for t in DEFAULT_POLICY if t not in ("alternating",))
     inner_verdict = classify(inner, sub_policy, horizon, ctx["delta"])
     if inner_verdict.status is Status.CONVERGES:
-        cert = TestCertificate(
+        cert = Certificate.from_reduction(
+            inner_verdict.certificate,
             "abs_convergence",
             {"inner_test": inner_verdict.certificate.test},
-            machine_checked=inner_verdict.certificate.machine_checked,
-            asserted=inner_verdict.certificate.asserted,
             detail="absolute convergence implies convergence",
         )
         return Verdict(Status.CONVERGES, cert), "fired"
@@ -923,12 +894,11 @@ def product_converges(p: ProductHandle, horizon: int, policy: tuple = DEFAULT_PO
         if series_verdict.status is Status.INCONCLUSIVE:
             return Verdict(Status.INCONCLUSIVE, None, None, trace=series_verdict.trace)
         outcome = series_verdict.status.value.lower()  # "converges" or "diverges"
-        cert = TestCertificate(
+        cert = Certificate.from_reduction(
+            series_verdict.certificate,
             "registered:product_delta_reduction",
             witnesses,
-            machine_checked=series_verdict.certificate.machine_checked,
-            asserted=("0 < a_n < 1 beyond the checked prefix",)
-            + series_verdict.certificate.asserted,
+            asserted=("0 < a_n < 1 beyond the checked prefix",),
             detail=f"product of (1 +/- a_n) {outcome} iff sum a_n {outcome}",
         )
         value = None
@@ -938,7 +908,7 @@ def product_converges(p: ProductHandle, horizon: int, policy: tuple = DEFAULT_PO
     if p.family == "one_plus_inv_exp":
         # Registered fact: log-factors ln(1+1/n) - 1/n are O(1/n^2); the
         # closed-form partial product (n+1) e^{-H_n} tends to e^{-gamma}.
-        cert = TestCertificate(
+        cert = Certificate(
             "registered:product_log_comparison",
             {
                 "partial_product_at_horizon": p.closed_partial(horizon),
@@ -973,7 +943,8 @@ def product_log_series_verdict(p: ProductHandle, horizon: int) -> Verdict:
     series_verdict = classify(deltas, DEFAULT_POLICY, horizon)
     if series_verdict.status is Status.INCONCLUSIVE:
         return series_verdict
-    cert = TestCertificate(
+    cert = Certificate.from_reduction(
+        series_verdict.certificate,
         "registered:product_log_bracket",
         {
             "form": kind,
@@ -982,7 +953,5 @@ def product_log_series_verdict(p: ProductHandle, horizon: int) -> Verdict:
             else "a_n <= -ln(1-a_n) <= 2 a_n",
             "series_status": series_verdict.status.value,
         },
-        machine_checked=series_verdict.certificate.machine_checked,
-        asserted=series_verdict.certificate.asserted,
     )
     return Verdict(series_verdict.status, cert, trace=series_verdict.trace)

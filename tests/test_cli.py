@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +366,67 @@ def test_power_function_refuses_negative_intervals(capsys):
         code, out, err = run(capsys, "integrate", *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and reason in err, argv
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["x^-1", "--from=-1", "--to", "1"],
+     "x^-1 is unbounded at 0; the grid of --from/--to [-1, 1] contains 0"),
+    (["x^-2", "--from=-1", "--to", "1"],
+     "x^-2 is unbounded at 0; the grid of --from/--to [-1, 1] contains 0"),
+    (["x^-1/2", "--from", "0", "--to", "1"],
+     "x^-1/2 is unbounded at 0; the grid of --from/--to [0, 1] contains 0"),
+    (["x^1/2", "--from=-1", "--to", "1"],
+     "x^1/2 lives on [0, inf); --from/--to [-1, 1] reaches below 0"),
+    (["gallery:sawtooth:abc"],
+     "'gallery:sawtooth:abc': use gallery:sawtooth[:<levels>] with levels >= 0"),
+    (["gallery:sawtooth:-1"],
+     "'gallery:sawtooth:-1': use gallery:sawtooth[:<levels>] with levels >= 0"),
+])
+def test_sample_outside_the_domain_is_a_usage_error(capsys, argv, message):
+    # not "error: Fraction(1, 0)" or a bare int() message
+    code, out, err = run(capsys, "sample", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_sample_power_at_zero(capsys):
+    # x^(1/2) = 0 at 0; x^-1 is sampled where the grid steps over 0
+    code, out, _ = run(capsys, "sample", "x^1/2", "--from", "0", "--to", "1", "--grid", "4",
+                       "--digits", "3")
+    assert code == 0
+    assert out.splitlines()[:3] == ["x,value", "0.000,0.000", "0.250,0.500"]
+    code, out, _ = run(capsys, "sample", "x^-1", "--from=-1", "--to", "2", "--grid", "2",
+                       "--digits", "1")
+    assert (code, out.splitlines()) == (0, ["x,value", "-1.0,-1.0", "0.5,2.0", "2.0,0.5"])
+    with pytest.raises(ValueError, match="undefined at 0"):
+        resolve_function("x^-1/2").enclosure_at(F(0), 10)
+
+
+@pytest.mark.parametrize("policy,note", [
+    ("cauchy_criterion", "cauchy criterion needs exact partial sums"),
+    ("abs_convergence", "absolute convergence needs exact terms"),
+])
+def test_tests_on_enclosure_terms_are_inconclusive(capsys, policy, note):
+    # p = 3/2 has irrational terms: the test declines instead of a TypeError
+    code, out, _ = run(capsys, "converge", "p-series", "--p", "3/2", "--policy", policy,
+                       "--horizon", "16", "--json")
+    assert code == 2
+    assert json.loads(out)["trace"] == [[policy, note]]
+
+
+def test_readme_examples_run(capsys):
+    # each `certreal` line of the README exits 0, and the Python example prints its enclosure
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, re.S)
+    lines = [line for lang, body in blocks if lang == "sh"
+             for line in body.splitlines() if line.startswith("certreal ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line.split(" > ")[0])[1:]
+        assert run(capsys, *argv)[0] == 0, line
+    [example] = [body for lang, body in blocks if lang == "python"]
+    exec(example, {})
+    assert capsys.readouterr().out == "[35.999999500, 36.000000499]\n"
 
 
 def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):

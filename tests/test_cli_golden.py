@@ -138,12 +138,18 @@ LIBRARY = {
 }
 
 
-def capture(argv: list[str], json_mode: bool) -> dict:
-    """Exit code and sha256 of stdout for one run of the CLI."""
+def _run(argv: list[str], json_mode: bool) -> tuple[int, str]:
+    """Exit code and stdout of one run of the CLI."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([argv[0], "--json", *argv[1:]] if json_mode else list(argv))
-    lines = out.getvalue().splitlines(keepends=True)
+    return code, out.getvalue()
+
+
+def capture(argv: list[str], json_mode: bool) -> dict:
+    """Exit code and sha256 of stdout for one run of the CLI."""
+    code, out = _run(argv, json_mode)
+    lines = out.splitlines(keepends=True)
     kept = "".join(line for line in lines if not line.startswith("elapsed: "))
     return {"code": code, "sha256": hashlib.sha256(kept.encode()).hexdigest()}
 
@@ -181,6 +187,19 @@ def test_golden_keys_are_exactly_the_cases():
     stored = set(json.loads(DATA.read_text()))
     expected = {_key(*case) for case in CASES} | {"lib " + name for name in LIBRARY}
     assert sorted(stored - expected) == [] and sorted(expected - stored) == []
+
+
+def test_cli_certificates_share_one_shape():
+    # every verdict's certificate renders the same fields, whichever module made it
+    fields = {"test", "witnesses", "machine_checked", "asserted", "detail"}
+    tests = set()
+    for argv in ARGVS:
+        _, out = _run(argv, True)
+        cert = json.loads(out)["certificate"] if out else None
+        if cert is not None:
+            assert {"test", "witnesses", "machine_checked"} <= set(cert) <= fields, argv
+            tests.add(cert["test"])
+    assert {"comparison_majorant", "comparison_minorant", "p_series", "abs_convergence"} <= tests
 
 
 def _regenerate(only: list[str]) -> int:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from certreal.approx import gallery
 
 from certreal.core import (
+    Certificate,
     Enclosure,
     _grid_points,
     _poly_eval,
@@ -293,3 +294,11 @@ def test_poly_eval_builds_one_fraction_per_call():
         values = [_poly_eval(coeffs, x) for x in xs]
     assert built.count == len(xs)
     assert values == [_reference_poly_eval(coeffs, x) for x in xs]
+
+
+def test_a_reduction_certificate_is_as_checked_as_its_inner_one():
+    inner = Certificate("limit_comparison", {}, machine_checked=False, asserted=("inner",))
+    cert = Certificate.from_reduction(inner, "registered:r", {"w": 1}, ("outer",), "why")
+    assert cert == Certificate("registered:r", {"w": 1}, False, ("outer", "inner"), "why")
+    assert Certificate.from_reduction(Certificate("p_series", {}), "abs_convergence", {}) == (
+        Certificate("abs_convergence", {}))

@@ -914,8 +914,8 @@ def _full_schedule(spec, target, steps=60):
     of every window of the first `steps` is integrated.  Returns the
     verdict and, per step, the width of the partner interval the bounds
     give."""
-    from certreal.core import Verdict
-    from certreal.integration import ImproperCertificate, _first_t, _window
+    from certreal.core import Certificate, Verdict
+    from certreal.integration import _first_t, _window
 
     digits = _digits_for(target, 4)
     tail_comp = next((c for c in spec.comparisons if c.kind in ("p_at_inf", "exp_at_inf")), None)
@@ -935,7 +935,7 @@ def _full_schedule(spec, target, steps=60):
         trace.append(("window", (str(lo), str(hi)), enclosure))
         widths.append(rest if spec.nonnegative else 2 * rest)
         if core.status is Status.CONVERGES and enclosure.width() <= target:
-            cert = ImproperCertificate(
+            cert = Certificate(
                 "comparison_majorant",
                 {
                     "tail": f"<= {tail_comp.const} * partner at T={big_t}" if unbounded else None,

@@ -9,6 +9,7 @@ from certreal.sequences import TermStream
 from certreal.series import (
     DEFAULT_POLICY,
     SignClassExhausted,
+    _TESTS,
     _signed_sum,
     alternating_sum_with_bound,
     classify,
@@ -445,3 +446,72 @@ def test_integral_test_in_policy():
     verdict = classify(handle, policy=("integral",), integral_spec=spec)
     assert verdict.status is Status.CONVERGES
     assert verdict.certificate.test == "integral"
+    # a series from n = 0 is matched against f from the integral's lower end 1 on,
+    # not evaluated at f(0) = 1/0
+    handle = make_series("custom", gen=lambda n: F(1, n * n) if n else F(5), n0=0)
+    assert classify(handle, policy=("integral",), integral_spec=spec).status is Status.CONVERGES
+
+
+_FAMILIES = [
+    ("geometric", {"a": F(1, 2), "r": F(1, 2)}), ("geometric", {"a": 1, "r": 1}),
+    ("geometric", {"a": 1, "r": 2}), ("p_series", {"p": 2}), ("p_series", {"p": F(1, 2)}),
+    ("p_series", {"p": F(3, 2)}), ("harmonic", {}), ("alt_harmonic", {}), ("newton_gregory", {}),
+    ("exp_terms", {"x": F(1, 2)}), ("factorial_power", {"x": F(1, 2)}),
+    ("two_pow_over_three_pow_minus_one", {}), ("inv_square", {}), ("alt_inv_square", {}),
+]
+
+
+def _every_verdict():
+    """Verdicts from every route that returns a certificate: each series
+    family under each single-test policy (the partner tests against a
+    convergent and a divergent partner), both product routes, the M-test,
+    both limit-detection modes and each improper comparison kind."""
+    from certreal.approx import weierstrass_m_test
+    from certreal.cli import resolve_function
+    from certreal.integration import Comparison, ImproperSpec, improper_integral
+    from certreal.sequences import detect_limit, make_named
+
+    x_sq = resolve_function("x^-2")
+    integral_spec = ImproperSpec(x_sq, F(1), None, nonnegative=True,
+                                 comparisons=(Comparison("p_at_inf", p=F(2), from_x=F(1)),))
+    partners = [(p, classify(p, horizon=32)) for p in map(make_series, ("inv_square", "harmonic"))]
+    for family, params in _FAMILIES:
+        for test in _TESTS:
+            for partner, partner_verdict in partners[:2 if "comparison" in test else 1]:
+                yield classify(make_series(family, **params), (test,), 32, partner=partner,
+                               partner_verdict=partner_verdict, integral_spec=integral_spec)
+    for name in ("one_minus_inv_sq", "one_plus_inv", "one_minus_inv", "one_plus_inv_exp"):
+        product = make_product(name)
+        yield product_converges(product, 64)
+        if product.delta_form is not None:
+            yield product_log_series_verdict(product, 64)
+    yield weierstrass_m_test(TermStream(lambda n: F(1, 4**n), 0), 64)
+    yield detect_limit(make_named("recursive_sqrt2"), "monotone_certified", 40, bound=2,
+                       monotone="increasing")
+    yield detect_limit(make_named("geometric", r=F(1, 2)), "cauchy_window", 64, eps=F(1, 1000))
+    for spec, a, b, comparison in [
+        ("x^-2", 1, None, Comparison("p_at_inf", p=F(2), from_x=F(1))),
+        ("x^-1/2", 0, 1, Comparison("p_at_zero", p=F(1, 2))),
+        ("x^-1", 1, None, Comparison("minorant_p_at_inf", p=F(1), from_x=F(1))),
+        ("x^-1", 0, 1, Comparison("minorant_p_at_zero", p=F(1))),
+    ]:
+        yield improper_integral(ImproperSpec(resolve_function(spec), F(a), b and F(b),
+                                             singular_lo=a == 0, comparisons=(comparison,),
+                                             nonnegative=True), F(1, 1000))
+    exp_neg = FnDescriptor(name="e^-x", eval_enc=lambda x, d: exp_enclosure(-x, d),
+                           monotone="decreasing")
+    exp_spec = ImproperSpec(exp_neg, F(0), None, nonnegative=True,
+                            comparisons=(Comparison("exp_at_inf", p=F(1)),))
+    yield improper_integral(exp_spec, F(1, 10))
+
+
+def test_every_certificate_names_a_known_test():
+    known = set(_TESTS) | {"monotone_convergence", "cauchy_window",
+                           "comparison_majorant", "comparison_minorant"}
+    seen = {v.certificate.test for v in _every_verdict() if v.certificate is not None}
+    assert {t for t in seen if not t.startswith("registered:")} <= known
+    # every route above fires, so each kind of name is checked at least once
+    assert known <= seen
+    assert {t for t in seen if t.startswith("registered:")} == {
+        "registered:product_delta_reduction", "registered:product_log_bracket",
+        "registered:product_log_comparison", "registered:weierstrass_m"}
