@@ -154,9 +154,10 @@ def resolve_function(spec: str) -> FnDescriptor:
         if name == "bump":
             return approx.gallery("flat_bump")
         if name == "smoothstep":
-            if len(parts) != 3:
-                raise UsageError("smoothstep needs gallery:smoothstep:<a>:<b>")
-            return approx.gallery("smooth_step", a=_fraction(parts[1]), b=_fraction(parts[2]))
+            ends = [_fraction(part) for part in parts[1:]]
+            if len(ends) != 2 or ends[0] >= ends[1]:
+                raise UsageError(f"{spec!r}: use gallery:smoothstep:<a>:<b> with a < b")
+            return approx.gallery("smooth_step", a=ends[0], b=ends[1])
         if name == "sawtooth":
             levels = _sawtooth_levels(spec)
             if levels is None:
@@ -175,6 +176,20 @@ def _power_exponent(spec: str) -> Optional[Fraction]:
     """p for a spec "x^<p>", else None."""
     match = re.fullmatch(r"x\^(-?\d+(?:/\d+)?)", spec)
     return _fraction(match.group(1)) if match else None
+
+
+def _check_power_grid(spec: str, a: Fraction, b: Fraction, n: int, flag: str) -> None:
+    """A usage error that names `flag` when the spec is x^p and x^p is
+    undefined at a point a + (b - a)·i/n, i = 0, ..., n."""
+    exponent = _power_exponent(spec)
+    if exponent is None:
+        return
+    span = f"{flag} [{a}, {b}]"
+    if exponent.denominator != 1 and a < 0:
+        raise UsageError(f"{spec} lives on [0, inf); {span} reaches below 0")
+    first, step, _ = _grid(a, b, n)
+    if exponent < 0 and 0 in range(first, first + n * step + 1, step):
+        raise UsageError(f"{spec} is unbounded at 0; the grid of {span} contains 0")
 
 
 def _sawtooth_levels(spec: str) -> Optional[int]:
@@ -519,6 +534,7 @@ def cmd_bernstein(args) -> tuple[Report, int]:
         interval = _pair("--interval", args.interval, _fraction, "rationals")
         if interval[0] >= interval[1]:
             raise UsageError("--interval needs a < b")
+    _check_power_grid(args.fn, *interval, args.degree, "--interval")  # the nodes
     op = approx.BernsteinOperator.from_function(f, args.degree, interval)
     report = Report(
         "bernstein",
@@ -576,13 +592,7 @@ def cmd_sample(args) -> tuple[Report, int]:
     digits = args.digits
     first, step, den = _grid(a, b, args.grid)
     xs = [first + i * step for i in range(args.grid + 1)]  # x = xs[i]/den
-    exponent = _power_exponent(args.fn)
-    if exponent is not None:
-        span = f"--from/--to [{a}, {b}]"
-        if exponent.denominator != 1 and a < 0:
-            raise UsageError(f"{args.fn} lives on [0, inf); {span} reaches below 0")
-        if exponent < 0 and 0 in xs:
-            raise UsageError(f"{args.fn} is unbounded at 0; the grid of {span} contains 0")
+    _check_power_grid(args.fn, a, b, args.grid, "--from/--to")
     if args.per_layer:
         levels = _sawtooth_levels(args.fn)
         if levels is None:

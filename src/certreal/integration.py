@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, factorial
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from certreal.core import (
     Certificate,
@@ -272,13 +272,14 @@ def integrate_enclosure(
     Darboux sums from the metadata `_bounds_kind` picks.  [a, b] is cut
     once, at the registered breakpoints and then at the monotone-piece
     boundaries, and each piece [u, v] gets the share target (v - u) / (b - a).
-    A monotone polynomial piece takes exact forward-difference sums at the
-    predicted k; every other piece doubles k in `_refine` until U - L meets
-    its share, reading its brackets from `_running_darboux` (monotone and
-    Lipschitz pieces: running sums on the 10^-digits grid, each point
-    evaluated once) or, for range-rule and step pieces, from `darboux`.  A
-    piece that meets no target within the doubling cap, or stops
-    shrinking, makes the result Inconclusive with its best pair.
+    A monotone or Lipschitz piece takes one Darboux pair at the k that the
+    first-order law predicts from its two end values: exact
+    forward-difference sums for a monotone polynomial (`_poly_darboux`),
+    point sums on the 10^-digits grid otherwise (`_running_darboux`).
+    Range-rule and step pieces, whose widths cannot be predicted, double k
+    in `_refine`, reading `darboux`.  A piece that misses its share (a k
+    past 2^24, a share within the rounding allowance, a pair that stops
+    shrinking) makes the result Inconclusive with its best pair.
     """
     a, b, target = to_rational(a), to_rational(b), to_rational(target_width)
     if a == b:
@@ -317,7 +318,9 @@ def integrate_enclosure(
         elif f.poly_coeffs is not None and kind != "lipschitz":
             piece = _poly_darboux(f, u, v, kind, share)
         else:
-            piece = _refine(_running_darboux(f, u, v, kind, prec), share)
+            room = share - 3 * (v - u) / 10**prec  # less `_running_darboux`'s rounding
+            bracket = _running_darboux(f, u, v, kind, prec, lambda spread: _capped_k(spread, room))
+            piece = _refine([bracket], share)
         total = total + piece.enclosure
         converged = converged and piece.status is Status.CONVERGES
         subintervals += piece.subintervals
@@ -343,12 +346,13 @@ def _digits_for(target: Fraction, slack: int) -> int:
 _Bracket = tuple[int, Fraction, Fraction, bool]  # (k, L, U, outer)
 
 
-def _refine(brackets: Iterator[_Bracket], target: Fraction) -> IntegralResult:
+def _refine(brackets: Iterable[_Bracket], target: Fraction) -> IntegralResult:
     """The first bracket with U - L <= target, Converges.
 
-    `brackets` yields the Darboux pair of the regular k-partition for
-    k = 1, 2, 4, ...; at most _MAX_DOUBLINGS + 1 of them are pulled.  When
-    the cap is reached, or a bracket is no narrower than the one before
+    `brackets` yields Darboux pairs of growing k: those of the regular
+    k-partitions for k = 1, 2, 4, ... (`_darboux_brackets`), or the one pair
+    of `_running_darboux`.  At most _MAX_DOUBLINGS + 1 of them are pulled.
+    When they run out, or a bracket is no narrower than the one before
     (point enclosures wider than the swing of f, or the rational-indicator
     descriptor, whose pair never shrinks), the narrowest bracket seen is
     returned Inconclusive.
@@ -373,6 +377,22 @@ def _darboux_brackets(f: FnDescriptor, u: Fraction, v: Fraction, digits: int) ->
         k *= 2
 
 
+def _first_order_k(spread: Fraction, room: Fraction) -> int:
+    """The least k >= 1 with spread/k < room, for room > 0: the k at which
+    a first-order bracket, spread/k wide, fits room (k = 1 when spread <= 0)."""
+    return int(spread / room) + 1 if spread > 0 else 1
+
+
+def _capped_k(spread: Fraction, room: Fraction) -> int:
+    """`_first_order_k`, or 1 when room <= 0 or that k exceeds 2^24: the piece
+    then costs its two end values and is Inconclusive unless the k = 1
+    pair already fits."""
+    if room <= 0:
+        return 1
+    k = _first_order_k(spread, room)
+    return k if k <= 2**_MAX_DOUBLINGS else 1
+
+
 def _poly_darboux(
     f: FnDescriptor, u: Fraction, v: Fraction, direction: str, target: Fraction
 ) -> IntegralResult:
@@ -386,8 +406,7 @@ def _poly_darboux(
     integers over one denominator.
     """
     p_u, p_v = f.value_at(u), f.value_at(v)
-    swing = abs(p_v - p_u)
-    k = 1 if swing == 0 or direction == "constant" else int(swing * (v - u) / target) + 1
+    k = _first_order_k(abs(p_v - p_u) * (v - u), target)
     h = (v - u) / k
     diffs, den = _poly_table(f.poly_coeffs, *_grid(u, v, k))
     left = Fraction(sum(d * comb(k, j + 1) for j, d in enumerate(diffs)), den)
@@ -398,11 +417,13 @@ def _poly_darboux(
 
 
 def _running_darboux(
-    f: FnDescriptor, u: Fraction, v: Fraction, kind: str, digits: int
-) -> Iterator[_Bracket]:
-    """Darboux pairs of the regular k-partitions of [u, v], k = 1, 2, 4, ...,
-    from point values, on a piece where f is monotone (`kind` is its
-    direction) or L-Lipschitz (`kind` is "lipschitz").
+    f: FnDescriptor, u: Fraction, v: Fraction, kind: str, digits: int,
+    cells: Callable[[Fraction], int],
+) -> _Bracket:
+    """The Darboux pair of the regular k-partition of [u, v] from point
+    values, on a piece where f is monotone (`kind` is its direction) or
+    L-Lipschitz (`kind` is "lipschitz"), at the k = cells(spread) that the
+    two end values predict.
 
     With h = (v - u)/k and S the sum of f over the interior grid points,
     an increasing f has inf f(x_i) and sup f(x_(i+1)) on [x_i, x_(i+1)],
@@ -411,24 +432,34 @@ def _running_darboux(
     f(t) >= f(x) - L (t - x) and f(t) >= f(x + h) - L (x + h - t) on
     [x, x + h], whose mean is f(t) >= (f(x) + f(x + h))/2 - L h/2, and
     likewise f(t) <= (f(x) + f(x + h))/2 + L h/2; summed over the cells,
-    the integral lies in h ((f(u) + f(v))/2 + S -+ L (v - u)/2), of width
-    L (v - u) h as for the midpoint rule, but on points the 2k-partition
-    reuses.  Only the two end values and the running sums of S's lower
-    and upper bounds are kept: the next pair evaluates just the k new
-    midpoints, so each point is evaluated once and memory stays O(1) in
-    k.  Both sums stay on the 10^-digits grid, at O(digits) bits whatever
-    the oracle returns: a point enclosure that is not exact is rounded
-    outward before it enters them, and a sum of exact values is rounded
-    outward once its denominator exceeds 10^digits.  `outer` is set for a
+    the integral lies in h ((f(u) + f(v))/2 + S -+ L (v - u)/2).  Both
+    sums stay on the 10^-digits grid, at O(digits) bits whatever the
+    oracle returns: a point enclosure that is not exact is rounded outward
+    before it enters them, and a sum of exact values is rounded outward
+    once its denominator exceeds 10^digits.  `outer` is set for a
     Lipschitz piece, and otherwise once anything was rounded.
 
-    The loop runs in integers on the midpoints (2k U + (2j+1)(V - U))/(2k D)
-    of u = U/D, v = V/D.  Each sum is G/10^digits + E: the integer G takes
-    the rounded values and the exact ones on the grid, and E (one for both
+    The width, telescoped as for a monotone f (Rudin, Thm 6.9): with
+    f(u)^- and f(v)^+ the lower and upper end values after rounding, an
+    increasing piece has U - L = h (f(v)^+ - f(u)^-) + h sum_i (hi_i - lo_i)
+    over the k - 1 interior points (decreasing: u and v swap).  Each term
+    is below 3 10^-digits: the oracle's width 10^-digits plus a floor and a
+    ceil onto the grid, or, for an exact value off the grid, the one grid
+    step its fold into the sum can add.  A Lipschitz piece has the end
+    term h ((f(u)^+ - f(u)^-) + (f(v)^+ - f(v)^-))/2 and adds h L (v - u).
+    With D = end_hi - end_lo, the end term over h, that is
+    U - L < spread/k + 3 (v - u) 10^-digits for spread = (v - u)(D + L (v - u))
+    (L = 0 on a monotone piece), and `cells` picks k from spread before any
+    interior point is evaluated.  The loop walks i = 1, ..., k - 1 once,
+    each point evaluated once, in O(1) memory, and ends.
+
+    It runs in integers on the grid points (first + i step)/den of
+    `_grid(u, v, k)`.  Each sum is G/10^digits + E: the integer G takes the
+    rounded values and the exact ones on the grid, and E (one for both
     sums, as exact values enter both) the exact ones off it.  Rounding S
     outward adds floor(E 10^digits) (upper sum: ceil) to G, so the rule is
-    checked only while E != 0, and each S is the rational the Fraction sums
-    held.  Fractions are built only for the yielded pairs.
+    checked only while E != 0, and each S is the rational that Fraction
+    sums would hold.  Fractions are built only for the points and the pair.
     """
     scale = 10**digits
     outer = kind == "lipschitz"
@@ -454,27 +485,24 @@ def _running_darboux(
         end_lo, end_hi = v_lo, u_hi
     else:
         end_lo, end_hi = u_lo, v_hi
+    k = cells((v - u) * (end_hi - end_lo + 2 * swing))
     g_lo, g_hi, e = 0, 0, Fraction(0)
-    k = 1
-    while True:  # unbounded: `_refine` pulls at most _MAX_DOUBLINGS + 1
-        h = (v - u) / k
-        s_lo, s_hi = Fraction(g_lo, scale) + e, Fraction(g_hi, scale) + e
-        yield k, h * (end_lo + s_lo - swing), h * (end_hi + s_hi + swing), outer
-        x, step, den = _grid(u, v, 2 * k)  # midpoints: the odd i
-        for _ in range(k):
-            x += step
-            lo, hi = _raw_bounds(f, Fraction(x, den), digits)
-            x += step
-            if lo == hi and scale % lo.denominator:
-                e += lo  # exact, off the grid
-            else:
-                outer = outer or lo != hi
-                lo, hi = _grid_ends(lo, hi, scale)  # an exact value on the grid: itself
-                g_lo, g_hi = g_lo + lo, g_hi + hi
-            if e and (exceeds(g_lo) or exceeds(g_hi)):
-                (lo, hi), e = _grid_ends(e, e, scale), Fraction(0)
-                g_lo, g_hi, outer = g_lo + lo, g_hi + hi, True
-        k *= 2
+    x, step, den = _grid(u, v, k)
+    for _ in range(k - 1):
+        x += step
+        lo, hi = _raw_bounds(f, Fraction(x, den), digits)
+        if lo == hi and scale % lo.denominator:
+            e += lo  # exact, off the grid
+        else:
+            outer = outer or lo != hi
+            lo, hi = _grid_ends(lo, hi, scale)  # an exact value on the grid: itself
+            g_lo, g_hi = g_lo + lo, g_hi + hi
+        if e and (exceeds(g_lo) or exceeds(g_hi)):
+            (lo, hi), e = _grid_ends(e, e, scale), Fraction(0)
+            g_lo, g_hi, outer = g_lo + lo, g_hi + hi, True
+    h = (v - u) / k
+    s_lo, s_hi = Fraction(g_lo, scale) + e, Fraction(g_hi, scale) + e
+    return k, h * (end_lo + s_lo - swing), h * (end_hi + s_hi + swing), outer
 
 
 # --- improper integrals -----------------------------------------------------

@@ -381,12 +381,36 @@ def test_power_function_refuses_negative_intervals(capsys):
      "'gallery:sawtooth:abc': use gallery:sawtooth[:<levels>] with levels >= 0"),
     (["gallery:sawtooth:-1"],
      "'gallery:sawtooth:-1': use gallery:sawtooth[:<levels>] with levels >= 0"),
+    (["gallery:smoothstep:1:0"],
+     "'gallery:smoothstep:1:0': use gallery:smoothstep:<a>:<b> with a < b"),
+    (["gallery:smoothstep:1"],
+     "'gallery:smoothstep:1': use gallery:smoothstep:<a>:<b> with a < b"),
 ])
 def test_sample_outside_the_domain_is_a_usage_error(capsys, argv, message):
-    # not "error: Fraction(1, 0)" or a bare int() message
+    # not "error: Fraction(1, 0)", the library's "need a < b" or a bare int() message
     code, out, err = run(capsys, "sample", *argv)
     assert (code, out) == (1, "")
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["x^-2", "--degree", "2"],
+     "x^-2 is unbounded at 0; the grid of --interval [0, 1] contains 0"),
+    (["x^-1", "--degree", "2", "--interval=-1,1"],
+     "x^-1 is unbounded at 0; the grid of --interval [-1, 1] contains 0"),
+    (["x^1/2", "--degree", "3", "--interval=-1,1"],
+     "x^1/2 lives on [0, inf); --interval [-1, 1] reaches below 0"),
+])
+def test_bernstein_nodes_outside_the_domain_are_a_usage_error(capsys, argv, message):
+    # the nodes a + k (b - a)/n are checked as `sample` checks its grid: the
+    # first two printed "error: Fraction(1, 0)"
+    code, out, err = run(capsys, "bernstein", *argv, "--x", "1/2")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+    # nodes that step over 0 are evaluated
+    code, out, _ = run(capsys, "bernstein", "x^-1", "--degree", "3", "--x", "1/2",
+                       "--interval=-1,1", "--json")
+    assert code == 0 and json.loads(out)["status"] == "Converges"
 
 
 def test_sample_power_at_zero(capsys):

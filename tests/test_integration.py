@@ -2,7 +2,6 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -495,9 +494,9 @@ def test_parts_check_polynomials():
 
 
 def test_darboux_doubling_evaluates_each_point_once():
-    # k doubles 1 -> 256 on [0, 1]: 257 distinct grid points.  Without the
-    # memo every subinterval evaluates both endpoints at every doubling
-    # (1,022 oracle calls).
+    # the end values predict k = 167 on [0, 1]: 168 distinct grid points.
+    # Doubling to 256 took 257, and without the memo every subinterval
+    # evaluated both endpoints at every doubling (1,022 oracle calls).
     f = gallery("smooth_step", a=0, b=1)
     calls = []
 
@@ -507,15 +506,16 @@ def test_darboux_doubling_evaluates_each_point_once():
 
     result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(3, 500))
     assert result.status is Status.CONVERGES
-    assert result.subintervals == 256
-    assert len(calls) == len(set(calls)) == 257
+    assert result.subintervals == 167
+    assert len(calls) == len(set(calls)) == 168
     assert result.enclosure == integrate_enclosure(f, 0, 1, F(3, 500)).enclosure
 
 
 def test_lipschitz_refines_each_point_once():
-    # |x - 1/3| with L = 1: the running sums take the 129 points of the
-    # 128-partition once each, where `darboux` on every doubling evaluated
-    # the 1 + 2 + ... + 128 = 255 cell midpoints
+    # |x - 1/3| with L = 1: the sums take the 102 points of the predicted
+    # 101-partition once each, where doubling took the 129 points of the
+    # 128-partition and `darboux` on every doubling evaluated the
+    # 1 + 2 + ... + 128 = 255 cell midpoints
     calls = []
 
     def counted(x):
@@ -525,14 +525,15 @@ def test_lipschitz_refines_each_point_once():
     wiggle = FnDescriptor(name="lip", eval_rat=counted, lipschitz=F(1))
     result = integrate_enclosure(wiggle, 0, 1, F(1, 100))
     assert result.status is Status.CONVERGES
-    assert result.subintervals == 128
-    assert len(calls) == len(set(calls)) == 129
+    assert result.subintervals == 101
+    assert len(calls) == len(set(calls)) == 102
     assert result.outer and result.enclosure.contains(F(5, 18))
 
 
 def test_tight_smoothstep_refines_each_point_once():
-    # 1e-4 on [0, 1] needs k = 16384: the running sums evaluate the 16,385
-    # grid points once each, where re-summing every doubling ran past 120 s
+    # 1e-4 on [0, 1]: the end values 0 and 1 predict k = 10,001, and the
+    # sums evaluate its 10,002 grid points once each.  Doubling took
+    # k = 16,384, and re-summing every doubling ran past 120 s
     f = gallery("smooth_step", a=0, b=1)
     calls = []
 
@@ -542,10 +543,33 @@ def test_tight_smoothstep_refines_each_point_once():
 
     result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
     assert result.status is Status.CONVERGES
-    assert result.subintervals == 16384
-    assert len(calls) == len(set(calls)) == 16385
+    assert result.subintervals == 10001
+    assert len(calls) == len(set(calls)) == 10002
     assert result.enclosure.contains(F(1, 2))  # smooth_step(x) + smooth_step(1-x) = 1
     assert result.width() <= F(1, 10**4)
+
+
+def test_unreachable_share_costs_two_oracle_calls():
+    # 1e-9 on [0, 1] would need k ~ 10^9 > 2^24 cells, and a share of 1e-4
+    # at digits 4 lies within the rounding allowance 3 10^-4: either piece
+    # stops at once, Inconclusive with its k = 1 pair after its two end
+    # values.  Doubling evaluated 2^24 + 1 points before it gave up
+    from certreal.integration import _capped_k
+
+    f = gallery("smooth_step", a=0, b=1)
+    calls = []
+
+    def counted(x, digits):
+        calls.append(x)
+        return f.eval_enc(x, digits)
+
+    for width, digits in ((F(1, 10**9), None), (F(1, 10**4), 4)):
+        calls.clear()
+        result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, width, digits=digits)
+        assert result.status is Status.INCONCLUSIVE and result.subintervals == 1
+        assert sorted(calls) == [0, 1] and result.enclosure.contains(F(1, 2))
+    assert _capped_k(F(2**24 - 1), F(1)) == 2**24 and _capped_k(F(2**24), F(1)) == 1
+    assert _capped_k(F(1), F(0)) == 1
 
 
 def test_smoothstep_point_loop_builds_three_fractions_per_point():
@@ -563,19 +587,20 @@ def test_smoothstep_point_loop_builds_three_fractions_per_point():
 
     with fractions_built() as built:
         result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
-    assert len(points) == 16385
+    assert len(points) == 10002
     assert built.count <= 4 * len(points), built.count / len(points)
-    assert result.enclosure == Enclosure(F(81914999991801, 163840000000000),
-                                         F(81925000008199, 163840000000000))
+    assert result.enclosure == Enclosure(F(49999999994993, 100010000000000),
+                                         F(50010000005007, 100010000000000))
 
 
 def _fraction_round_out(lo, hi, scale):
     return F(math.floor(lo * scale)) / scale, F(math.ceil(hi * scale)) / scale
 
 
-def _reference_running_darboux(f, u, v, kind, digits):
+def _reference_running_darboux(f, u, v, kind, digits, k):
     """The Fraction-arithmetic running sums that the integer loop of
-    `_running_darboux` replaced, kept as the reference for its brackets."""
+    `_running_darboux` replaced, at one k, kept as the reference for its
+    bracket: (spread, (k, L, U, outer))."""
     scale = 10**digits
     outer = kind == "lipschitz"
 
@@ -598,19 +623,16 @@ def _reference_running_darboux(f, u, v, kind, digits):
     else:
         end_lo, end_hi = u_lo, v_hi
     sum_lo = sum_hi = F(0)
-    k = 1
-    while True:
-        h = (v - u) / k
-        yield k, h * (end_lo + sum_lo - swing), h * (end_hi + sum_hi + swing), outer
-        step = (v - u) / (2 * k)
-        for j in range(k):
-            lo, hi = bounds(u + (2 * j + 1) * step)
-            sum_lo += lo
-            sum_hi += hi
-            if sum_lo.denominator > scale or sum_hi.denominator > scale:
-                sum_lo, sum_hi = _fraction_round_out(sum_lo, sum_hi, scale)
-                outer = True
-        k *= 2
+    h = (v - u) / k
+    for i in range(1, k):
+        lo, hi = bounds(u + i * h)
+        sum_lo += lo
+        sum_hi += hi
+        if sum_lo.denominator > scale or sum_hi.denominator > scale:
+            sum_lo, sum_hi = _fraction_round_out(sum_lo, sum_hi, scale)
+            outer = True
+    spread = (v - u) * (end_hi - end_lo + 2 * swing)
+    return spread, (k, h * (end_lo + sum_lo - swing), h * (end_hi + sum_hi + swing), outer)
 
 
 def _mixed_oracle(x, digits):
@@ -642,11 +664,13 @@ _REFERENCE_CASES = {
 @settings(deadline=None, max_examples=80)
 @given(data=st.data())
 def test_running_darboux_matches_the_fraction_reference(data):
-    """The first 10 brackets (k, L, U, outer) of the integer loop equal
-    those of the Fraction running sums, on every kind of oracle value:
-    grid-rounded enclosures, exact values on and off the decimal grid
-    (3x/20: sums that leave the grid and come back to it), both mixed,
-    Lipschitz pieces, and increasing and decreasing pieces."""
+    """At any k, powers of two or not, the bracket (k, L, U, outer) of the
+    integer loop equals that of the Fraction running sums, on every kind of
+    oracle value: grid-rounded enclosures, exact values on and off the
+    decimal grid (3x/20: sums that leave the grid and come back to it), both
+    mixed, Lipschitz pieces, and increasing and decreasing pieces.  The
+    spread handed to `cells` is the reference's, and the width stays below
+    spread/k + 3 (v - u) 10^-digits, the bound the predicted k rests on."""
     name = data.draw(st.sampled_from(sorted(_REFERENCE_CASES)))
     fractions = st.fractions(min_value=-2, max_value=2, max_denominator=64)
     if name == "1/x^2":
@@ -662,8 +686,13 @@ def test_running_darboux_matches_the_fraction_reference(data):
                               max_size=2, unique=True).map(sorted))
     f, kind = _REFERENCE_CASES[name](a, b, u)
     digits = data.draw(st.integers(1, 12))
-    expected = list(islice(_reference_running_darboux(f, u, v, kind, digits), 10))
-    assert list(islice(_running_darboux(f, u, v, kind, digits), 10)) == expected
+    k = data.draw(st.integers(1, 600))
+    spread, expected = _reference_running_darboux(f, u, v, kind, digits, k)
+    spreads = []
+    bracket = _running_darboux(f, u, v, kind, digits, lambda s: spreads.append(s) or k)
+    assert bracket == expected and spreads == [spread]
+    _, lower, upper, _ = bracket
+    assert upper - lower < spread / k + 3 * (v - u) / 10**digits
 
 
 def test_flat_bump_certifies_across_its_flat_point():
@@ -856,7 +885,7 @@ def test_integral_endpoints_have_digit_sized_bits():
 
 def test_exact_oracle_sums_round_outward_on_the_digit_grid():
     result = integrate_enclosure(_INV_SQUARE_EXACT, 1, 2, F(1, 10**4))
-    assert result.status is Status.CONVERGES and result.subintervals == 8192
+    assert result.status is Status.CONVERGES and result.subintervals == 7501
     assert result.enclosure.contains(F(1, 2)) and result.width() <= F(1, 10**4)
     assert result.outer  # the exact sums were rounded
     # a sum whose denominator stays within 10^digits is kept exact
@@ -1135,13 +1164,15 @@ _INV_SQRT_DARBOUX = FnDescriptor(
 
 def test_improper_darboux_core_walks_to_a_second_window():
     # the head bound 2 sqrt(eps) first fits 1/10 at eps = 2^-9, but there it
-    # takes more than half of the target, and the Darboux core (up to 1/20
-    # wide) does not fit beside it: the walk steps on to eps = 2^-10
+    # takes more than half of the target, and the Darboux core (its k
+    # predicted to fill 1/20) does not fit beside it: 0.088 + 0.050 at
+    # 2^-9 and 0.063 + 0.050 at 2^-10, so the walk steps on to eps = 2^-11
     spec = ImproperSpec(_INV_SQRT_DARBOUX, F(0), F(1), singular_lo=True,
                         comparisons=(Comparison("p_at_zero", p=F(1, 2)),), nonnegative=True)
     verdict = improper_integral(spec, F(1, 10))
     assert verdict.status is Status.CONVERGES and verdict.value.contains(2)
-    assert [item[1] for item in verdict.trace] == [("1/512", "1"), ("1/1024", "1")]
+    assert [item[1] for item in verdict.trace] == [("1/512", "1"), ("1/1024", "1"),
+                                                  ("1/2048", "1")]
     assert verdict.trace[0][2].width() > F(1, 10) >= verdict.value.width()
     assert verdict.certificate.witnesses["core_method"] == "darboux"
 
