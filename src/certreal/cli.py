@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -28,6 +29,7 @@ from certreal.core import (
     Certificate,
     Enclosure,
     FnDescriptor,
+    MissingMetadataError,
     Status,
     _decimal,
     _grid,
@@ -37,6 +39,7 @@ from certreal.core import (
     poly_descriptor,
     rational_power_enclosure,
 )
+from certreal.integration import Comparison
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,8 +142,9 @@ def resolve_function(spec: str) -> FnDescriptor:
 
     Forms: "poly:<polynomial>", "gallery:<name>[:params]" with names
     step5, dirichlet, bump, smoothstep:<a>:<b>, sawtooth[:<levels>],
-    unit-step, and "x^<p>" for rational p (undefined at 0 for p < 0 and
-    below 0 for a non-integer p).
+    unit-step, and "x^<p>" for rational p.  The descriptor carries the
+    spec's domain (`domain_lo`, `singular`) for `_check_domain` to read;
+    x^-1 integrates to ln|x|.
     """
     if spec.startswith("poly:"):
         return poly_descriptor(parse_polynomial(spec[5:]), name=spec[5:])
@@ -178,18 +182,21 @@ def _power_exponent(spec: str) -> Optional[Fraction]:
     return _fraction(match.group(1)) if match else None
 
 
-def _check_power_grid(spec: str, a: Fraction, b: Fraction, n: int, flag: str) -> None:
-    """A usage error that names `flag` when the spec is x^p and x^p is
-    undefined at a point a + (b - a)·i/n, i = 0, ..., n."""
-    exponent = _power_exponent(spec)
-    if exponent is None:
-        return
-    span = f"{flag} [{a}, {b}]"
-    if exponent.denominator != 1 and a < 0:
-        raise UsageError(f"{spec} lives on [0, inf); {span} reaches below 0")
-    first, step, _ = _grid(a, b, n)
-    if exponent < 0 and 0 in range(first, first + n * step + 1, step):
-        raise UsageError(f"{spec} is unbounded at 0; the grid of {span} contains 0")
+def _check_domain(spec: str, f: FnDescriptor, lo: Optional[Fraction], hi: Optional[Fraction],
+                  span: str, grid: Optional[int] = None, ends: tuple = ()) -> None:
+    """A usage error that quotes `spec` and `span` where [lo, hi] (None: an
+    infinite end) leaves f's domain: it reaches below `f.domain_lo`, or it
+    holds a singular point other than the improper `ends` (with `grid` = n:
+    one of the points lo + (hi - lo)·i/n, i = 0, ..., n)."""
+    bottom = f.domain_lo
+    if bottom is not None and (lo is None or lo < bottom):
+        raise UsageError(f"{spec} lives on [{bottom}, inf); {span} reaches below {bottom}")
+    for x in f.singular:
+        if x in ends or (lo is not None and x < lo) or (hi is not None and x > hi):
+            continue
+        if grid is None or ((x - lo) * grid / (hi - lo)).denominator == 1:
+            where = span if grid is None else f"the grid of {span}"
+            raise UsageError(f"{spec} is unbounded at {x}; {where} contains {x}")
 
 
 def _sawtooth_levels(spec: str) -> Optional[int]:
@@ -199,18 +206,19 @@ def _sawtooth_levels(spec: str) -> Optional[int]:
 
 
 def _power_function(exponent: Fraction) -> FnDescriptor:
-    """x**exponent with antiderivative and monotone metadata.
+    """x**exponent with its domain, antiderivative and monotone metadata.
 
-    An integer power p is exact wherever it is defined (p < 0: away from
-    0), with monotone pieces on either side of 0 read off the parity of p
-    and the exact antiderivative x**(p+1)/(p+1) (ln x, on (0, inf), for
-    p = -1).  A non-integer power lives on [0, inf) (on (0, inf) when
-    negative).
+    A negative power is unbounded at 0, and a non-integer one lives on
+    [0, inf).  An integer power p is exact, with monotone pieces on either
+    side of 0 read off the parity of p and the exact antiderivative
+    x**(p+1)/(p+1) (ln|x| for p = -1).
     """
+    singular = (Fraction(0),) if exponent < 0 else ()
     if exponent.denominator == 1:
         p = int(exponent)
         if p == -1:
-            anti = FnDescriptor(name="ln", eval_enc=lambda x, d: powerseries.ln_enclosure(x, d))
+            anti = FnDescriptor(name="ln|x|",
+                                eval_enc=lambda x, d: powerseries.ln_enclosure(abs(x), d))
         else:
             n = p + 1
             anti = FnDescriptor(name=f"x^{n}/{n}", eval_rat=lambda x: x**n / n)
@@ -224,6 +232,7 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
                 (Fraction(0), None, "increasing" if p > 0 else "decreasing"),
             ),
             antiderivative=anti,
+            singular=singular,
         )
 
     next_e = exponent + 1
@@ -241,6 +250,8 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
         eval_enc=eval_enc,
         monotone="increasing" if exponent > 0 else "decreasing",
         antiderivative=FnDescriptor(name=f"x^{next_e}/{next_e}", eval_enc=anti_eval),
+        domain_lo=Fraction(0),
+        singular=singular,
     )
 
 
@@ -408,48 +419,35 @@ def cmd_integrate(args) -> tuple[Report, int]:
     power = exponent is not None
     lo = None if args.a == "-inf" else _fraction(args.a)
     hi = None if args.b == "inf" else _fraction(args.b)
-    below = lo is None or lo < 0
-    if power and below and (exponent.denominator != 1 or exponent == -1):
-        raise UsageError(f"{args.fn} lives on [0, inf); [{args.a}, {args.b}] reaches below 0")
-    # an improper integral's finite end at 0 is a singular end, outside every window;
-    # an upper end 0 only for an even p < 0, where x^p = |x|^p > 0 on [lo, 0)
-    singular_hi = (args.improper and power and hi == 0 and (lo is None or lo < 0)
-                   and exponent < 0 and exponent.numerator % 2 == 0)
-    at_zero = (below or (lo == 0 and not args.improper)) and (hi is None or hi >= 0)
-    if power and exponent.denominator == 1 and exponent < 0 and at_zero and not singular_hi:
-        raise UsageError(f"{args.fn} is unbounded at 0; [{args.a}, {args.b}] contains 0")
+    _check_domain(args.fn, f, lo, hi, f"[{args.a}, {args.b}]",
+                  ends=(lo, hi) if args.improper else ())
     if args.improper:
+        # a finite end where f is unbounded is a singular end, outside every
+        # window; [0, 0] keeps the lower one, whose window is empty
+        nonempty = lo is None or hi is None or lo < hi
+        singular_lo = lo in f.singular
+        singular_hi = nonempty and hi in f.singular
         comparisons = []
         if power:
-            if (lo is None or hi is None) and -exponent > 1:
-                comparisons.append(
-                    integration.Comparison("p_at_inf", p=-exponent, const=Fraction(1),
-                                           from_x=lo if hi is None else -hi)
-                )
-            # the minorant |x|^p bounds an infinite end; at a -inf end it needs
-            # x^p = |x|^p, which holds below 0 only for even p
-            if -exponent <= 1 and (hi is None or (lo is None and exponent.numerator % 2 == 0)):
-                comparisons.append(
-                    integration.Comparison("minorant_p_at_inf", p=-exponent,
-                                           const=Fraction(1), from_x=Fraction(1))
-                )
-            if lo == 0 and 0 < -exponent < 1:
-                comparisons.append(
-                    integration.Comparison("p_at_zero", p=-exponent, const=Fraction(1))
-                )
-            # the singular end 0 of a nonempty [0, hi] or [lo, 0]: there x^p = t^p > 0
-            if (singular_hi or lo == 0 and (hi is None or hi > 0)) and -exponent >= 1:
-                comparisons.append(
-                    integration.Comparison("minorant_p_at_zero", p=-exponent,
-                                           const=Fraction(1))
-                )
+            q, even = -exponent, exponent.numerator % 2 == 0  # x^p = |x|^-q if x >= 0 or even
+            if (lo is None or hi is None) and q > 1:
+                comparisons.append(Comparison("p_at_inf", q, from_x=lo if hi is None else -hi))
+            # the minorant |x|^-q bounds an infinite end; at -inf it needs x^p >= 0
+            if q <= 1 and (hi is None or (lo is None and even)):
+                comparisons.append(Comparison("minorant_p_at_inf", q))
+            if (singular_lo or singular_hi) and 0 < q < 1:
+                comparisons.append(Comparison("p_at_zero", q))
+            # the minorant t^-q at distance t from a singular end 0 needs x^p >= 0
+            # beside it: below 0 only for even p
+            if nonempty and q >= 1 and (singular_lo or (singular_hi and even)):
+                comparisons.append(Comparison("minorant_p_at_zero", q))
         spec = integration.ImproperSpec(
             f, lo, hi,
-            singular_lo=(lo == 0 and power and exponent < 0),
+            singular_lo=singular_lo,
             singular_hi=singular_hi,
             comparisons=tuple(comparisons),
             # x^p >= 0 unless p is odd and the interval reaches below 0
-            nonnegative=power and (exponent.numerator % 2 == 0 or not below),
+            nonnegative=power and (exponent.numerator % 2 == 0 or lo is not None and lo >= 0),
         )
         verdict = integration.improper_integral(spec, width)
         report.status = verdict.status.value
@@ -529,17 +527,14 @@ def cmd_bernstein(args) -> tuple[Report, int]:
     f = resolve_function(args.fn)
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
-    interval = (Fraction(0), Fraction(1))
+    a, b = Fraction(0), Fraction(1)
     if args.interval:
-        interval = _pair("--interval", args.interval, _fraction, "rationals")
-        if interval[0] >= interval[1]:
+        a, b = _pair("--interval", args.interval, _fraction, "rationals")
+        if a >= b:
             raise UsageError("--interval needs a < b")
-    _check_power_grid(args.fn, *interval, args.degree, "--interval")  # the nodes
-    op = approx.BernsteinOperator.from_function(f, args.degree, interval)
-    report = Report(
-        "bernstein",
-        {"fn": args.fn, "degree": args.degree, "interval": f"{interval[0]},{interval[1]}"},
-    )
+    _check_domain(args.fn, f, a, b, f"--interval [{a}, {b}]", grid=args.degree)  # the nodes
+    op = approx.BernsteinOperator.from_function(f, args.degree, (a, b))
+    report = Report("bernstein", {"fn": args.fn, "degree": args.degree, "interval": f"{a},{b}"})
     x = _fraction(args.x)
     report.status = Status.CONVERGES.value
     value = approx.bernstein_apply(op, x)
@@ -592,7 +587,7 @@ def cmd_sample(args) -> tuple[Report, int]:
     digits = args.digits
     first, step, den = _grid(a, b, args.grid)
     xs = [first + i * step for i in range(args.grid + 1)]  # x = xs[i]/den
-    _check_power_grid(args.fn, a, b, args.grid, "--from/--to")
+    _check_domain(args.fn, f, a, b, f"--from/--to [{a}, {b}]", grid=args.grid)
     if args.per_layer:
         levels = _sawtooth_levels(args.fn)
         if levels is None:
@@ -716,10 +711,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MissingMetadataError as exc:  # the spec args.fn lacks what its command needs
+        print(f"usage error: {args.fn}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(report.render(args.json, args.digits, started))
+    try:
+        print(report.render(args.json, args.digits, started))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: let the flush at interpreter exit write to
+        # os.devnull instead of printing a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -268,6 +268,8 @@ class FnDescriptor:
     derivative: Optional["FnDescriptor"] = None
     antiderivative: Optional["FnDescriptor"] = None
     darboux_only: bool = False
+    domain_lo: Optional[Fraction] = None  # f is defined on [domain_lo, inf); None: everywhere
+    singular: tuple[Fraction, ...] = ()  # the points where f is unbounded
 
     def __post_init__(self) -> None:
         if self.monotone is not None and self.monotone not in _DIRECTIONS:
@@ -285,7 +287,7 @@ class FnDescriptor:
         """Exact value; requires a rational-valued oracle."""
         x = to_rational(x)
         if self.eval_rat is None:
-            raise ValueError(f"{self.name or 'function'} has no exact rational oracle")
+            raise MissingMetadataError(f"{self.name or 'function'} has no exact rational oracle")
         return to_rational(self.eval_rat(x))
 
     def enclosure_at(self, x: RationalLike, digits: int = 30) -> Enclosure:
@@ -295,7 +297,7 @@ class FnDescriptor:
             return Enclosure.point(self.eval_rat(x))
         if self.eval_enc is not None:
             return self.eval_enc(x, digits)
-        raise ValueError(f"{self.name or 'function'} is darboux-only; no point oracle")
+        raise MissingMetadataError(f"{self.name or 'function'} is darboux-only; no point oracle")
 
     def with_meta(self, **changes) -> "FnDescriptor":
         return replace(self, **changes)

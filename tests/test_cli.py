@@ -353,15 +353,15 @@ def test_power_singular_at_zero_diverges(capsys):
 
 
 def test_power_function_refuses_negative_intervals(capsys):
-    # a non-integer power and x^-1 live on [0, inf), and a negative integer
-    # power is unbounded at 0: a usage error, not an internal "base must be
-    # positive" or division by zero from deep inside the integral
+    # a non-integer power lives on [0, inf), and a negative power is unbounded
+    # at 0: a usage error, not an internal "base must be positive" or
+    # division by zero from deep inside the integral
     for argv, reason in (
         (["x^1/2", "-1", "1"], "lives on [0, inf)"),
         (["x^-1/2", "--improper", "--", "-inf", "-1"], "lives on [0, inf)"),
-        (["x^-1", "-2", "-1"], "lives on [0, inf)"),
         (["x^-2", "-1", "1"], "unbounded at 0"),
         (["x^-3", "0", "1"], "unbounded at 0"),
+        (["x^-1/2", "0", "1"], "x^-1/2 is unbounded at 0; [0, 1] contains 0"),
     ):
         code, out, err = run(capsys, "integrate", *argv)
         assert code == 1 and out == ""
@@ -456,7 +456,8 @@ def test_readme_examples_run(capsys):
 def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):
     # x^p = |x|^p = t^p on [lo, 0) for an even p <= -2, with t the distance
     # to 0: the head minorant certifies divergence, also with lo = -inf.  An
-    # odd power is negative there and has no minorant, and a proper integral
+    # odd power is negative there and has no minorant: its singular end is
+    # undecided (trace-only windows, no certificate).  A proper integral
     # stays an error; x^2 on [-1, 0] has no singular end and converges
     for fn, lo in (("x^-2", "-1"), ("x^-4", "-1/2"), ("x^-2", "-inf")):
         code, out, _ = run(capsys, "integrate", fn, "--improper", "--json", "--", lo, "0")
@@ -464,13 +465,166 @@ def test_even_power_diverges_at_a_singular_upper_end_zero(capsys):
         assert code == 0 and payload["status"] == "Diverges", fn
         assert payload["certificate"]["witnesses"]["minorant"] == (
             f"1 * t^{fn[2:]} at distance t from the singular end")
-    for argv in (["x^-3", "--improper", "--", "-1", "0"], ["x^-2", "--", "-1", "0"]):
-        code, out, err = run(capsys, "integrate", *argv)
-        assert code == 1 and out == "" and "unbounded at 0" in err, argv
+    code, out, _ = run(capsys, "integrate", "x^-3", "--improper", "--json", "--", "-1", "0")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "Inconclusive"
+    assert payload["certificate"] is None and payload["enclosure"] is None
+    assert [item["window"] for item in payload["trace"]] == [
+        ["-1", f"-1/{2**j}"] for j in range(1, 9)
+    ]
+    code, out, err = run(capsys, "integrate", "x^-2", "--", "-1", "0")
+    assert code == 1 and out == "" and "unbounded at 0" in err
     code, out, _ = run(capsys, "integrate", "x^2", "--improper", "--json", "--", "-1", "0")
     payload = json.loads(out)
     assert code == 0 and payload["status"] == "Converges"
     assert F(payload["enclosure"]["lo_exact"]) <= F(1, 3) <= F(payload["enclosure"]["hi_exact"])
+
+
+def test_reciprocal_below_zero_takes_ln_abs(capsys):
+    # x^-1 is defined below 0, where its antiderivative is ln|x|: the
+    # integral over [-2, -1] is -ln 2 (it was refused as "lives on [0, inf)")
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run(capsys, "integrate", "x^-1", "--json", "--", "-2", "-1")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "Converges"
+    lo, hi = F(payload["enclosure"]["lo_exact"]), F(payload["enclosure"]["hi_exact"])
+    with mpmath.workdps(40):
+        value = F(mpmath.nstr(-mpmath.log(2), 35))
+    assert lo <= value - F(1, 10**33) and value + F(1, 10**33) <= hi
+    assert hi - lo <= F(1, 10**6)
+    # its -inf end diverges to -inf, which no registered partner certifies
+    code, out, _ = run(capsys, "integrate", "x^-1", "--improper", "--json", "--", "-inf", "-1")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "Inconclusive"
+    assert payload["certificate"] is None and len(payload["trace"]) == 8
+
+
+@pytest.mark.parametrize("fn", ["x^-1", "x^-3", "x^-5", "x^1", "x^3"])
+@pytest.mark.parametrize("lo,hi", [("-1", "0"), ("-1/2", "0"), ("-inf", "-1"), ("-inf", "0")])
+def test_no_minorant_where_the_power_is_negative(capsys, fn, lo, hi):
+    # an odd power is negative below 0: a minorant c t^-q > 0 there would be
+    # a false witness of divergence to +inf
+    code, out, _ = run(capsys, "integrate", fn, "--improper", "--json", "--width", "1e-3",
+                       "--", lo, hi)
+    payload = json.loads(out)
+    assert code in (0, 2), (fn, lo, hi)
+    assert payload["status"] != "Diverges", (fn, lo, hi)
+    certificate = payload["certificate"]
+    assert certificate is None or certificate["test"] != "comparison_minorant", (fn, lo, hi)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "gallery:step5"],
+     "gallery:step5: step5 is darboux-only; no point oracle"),
+    (["bernstein", "gallery:bump", "--degree", "2", "--x", "1/2"],
+     "gallery:bump: flat_bump has no exact rational oracle"),
+    (["integrate", "gallery:step5", "--", "-1", "1"],
+     "gallery:step5: step5: step pieces do not cover [-1, 1]"),
+])
+def test_missing_metadata_is_a_usage_error_that_quotes_the_spec(capsys, argv, message):
+    # the spec lacks the oracle or metadata the command needs; these printed
+    # the library's message behind "error: ", without the spec
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+
+
+_WALK_SPECS = (
+    ["poly:x^2-1", "gallery:step5", "gallery:dirichlet", "gallery:bump",
+     "gallery:smoothstep:0:1", "gallery:sawtooth:4", "gallery:unit-step"]
+    + [f"x^{p}" for p in ("2", "3", "-1", "-2", "-3", "1/2", "-1/2", "-3/2")]
+)
+_FINITE = ((F(-2), F(-1)), (F(-1), F(0)), (F(0), F(1)), (F(-1), F(1)))
+_INFINITE = ((None, F(-1)), (F(1), None), (None, F(0)), (F(0), None))
+# the trace-only windows of a function that does not decay, each integrated
+# to 1/1000 up to [0, 256], take 8-16 s per call: they evaluate, but stay out
+# of a walk that must be quick
+_SLOW = {("gallery:bump", span) for span in _INFINITE} | {
+    ("gallery:smoothstep:0:1", (F(0), None))}
+
+
+def _walk_calls():
+    """(argv, span, where, needs) for every call of the walk: `where` is
+    "open" for an improper integral (a singular end is a limit), "closed"
+    for a proper one, or the points a grid evaluates; `needs` names what the
+    command asks of the spec beyond its domain."""
+    for spec in _WALK_SPECS:
+        for lo, hi in _FINITE + _INFINITE:
+            if (spec, (lo, hi)) in _SLOW:
+                continue
+            a, b = "-inf" if lo is None else str(lo), "inf" if hi is None else str(hi)
+            finite = lo is not None and hi is not None
+            improper = ["integrate", spec, "--improper", "--width", "1e-3", "--", a, b]
+            yield improper, (lo, hi), "open", {"pieces"} if finite else set()
+            if not finite:
+                continue  # a proper integral, a grid and Bernstein nodes take finite ends
+            grid = [lo + (hi - lo) * i / 4 for i in range(5)]
+            yield ["integrate", spec, "--width", "1e-3", "--", a, b], (lo, hi), "closed", {"pieces"}
+            yield ["sample", spec, f"--from={a}", f"--to={b}", "--grid", "4"], (lo, hi), grid, {
+                "point"}
+            yield (["bernstein", spec, "--degree", "4", "--x", "1/2", f"--interval={a},{b}"],
+                   (lo, hi), grid, {"exact"})
+
+
+def _predicted_usage_error(f, span, where, needs) -> bool:
+    """Whether the descriptor says the call asks for more than the spec
+    offers: the span reaches below its domain, a point the call evaluates
+    is singular, or the command needs an exact oracle, a point oracle or
+    step pieces over the whole span, and the spec lacks it."""
+    lo, hi = span
+    if f.domain_lo is not None and (lo is None or lo < f.domain_lo):
+        return True
+    for x in f.singular:
+        if where == "open":
+            hit = (lo is None or lo < x) and (hi is None or x < hi)
+        else:
+            hit = lo <= x <= hi if where == "closed" else x in where
+        if hit:
+            return True
+    pieces = f.step_pieces
+    return ("exact" in needs and f.eval_rat is None
+            or "point" in needs and f.eval_rat is None and f.eval_enc is None
+            or "pieces" in needs and pieces is not None
+            and not pieces[0][0] <= lo <= hi <= pieces[-1][1])
+
+
+def test_domain_walk_predicts_every_usage_error(capsys):
+    # every spec family over spans with 0, a negative number or inf at either
+    # end, through integrate (proper and improper), sample and bernstein: a
+    # call either evaluates (a verdict on stdout, nothing on stderr) or is a
+    # usage error that names a flag or quotes the spec, and the descriptor's
+    # domain, singular points, oracles and step pieces say which
+    calls = list(_walk_calls())
+    assert len(calls) == 15 * 4 * 4 + 15 * 4 - len(_SLOW)
+    for argv, span, where, needs in calls:
+        code, out, err = run(capsys, *argv)
+        if _predicted_usage_error(resolve_function(argv[1]), span, where, needs):
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+            assert argv[1] in err or "--from/--to" in err or "--interval" in err, argv
+        else:
+            assert code in (0, 2) and out and err == "", (argv, err)
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that closes at once (`certreal ... | head -0`): the report
+    # cannot be written, and the exit is the verdict's, with no traceback
+    import os
+    import subprocess
+    import sys
+
+    import certreal
+
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(certreal.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "certreal.cli", "integrate", "x^-2", "1",
+                               "inf", "--improper"], stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("argv,width,square", [

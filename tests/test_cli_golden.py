@@ -85,6 +85,11 @@ ARGVS = [
     ["integrate", "x^-1/2", "0", "1", "--improper", "--width", "1e-30"],
     ["integrate", "x^-3/2", "1", "inf", "--improper", "--width", "1e-100"],
     ["integrate", "x^-2", "--improper", "--", "-inf", "0"],
+    ["integrate", "x^-1", "--", "-2", "-1"],
+    ["integrate", "x^-1", "--improper", "--", "-inf", "-1"],
+    ["integrate", "x^-1", "--improper", "--", "-1", "0"],
+    ["integrate", "x^-3", "--improper", "--", "-1", "0"],
+    ["integrate", "x^-1/2", "0", "1"],
     ["integrate", "poly:x^2", "4", "1"],
     ["constants", "e", "--terms", "20"],
     ["constants", "ln2", "--terms", "1000"],
