@@ -292,53 +292,47 @@ def gallery(name: str, **params) -> FnDescriptor:
         if a >= b:
             raise ValueError("need a < b")
 
-        def step_eval(x: Fraction, d: int) -> Enclosure:
+        def step_grid(n: int, m: int, d: int) -> tuple[int, int]:
             from certreal.powerseries import _exp_negative_shift, _exp_series
 
-            if x <= a:
-                return Enclosure.point(0)
-            if x >= b:
-                return Enclosure.point(1)
+            scale = 10**d
+            # x = n/m against a = an/ad and b = bn/bd, in integers:
+            # P = (x - a) m ad and Q = (b - x) m bd.
+            big_p, big_q = n * a.denominator - a.numerator * m, b.numerator * m - n * b.denominator
+            if big_p <= 0:
+                return 0, 0
+            if big_q <= 0:
+                return scale, scale
             # rise / (rise + fall) = 1 / (1 + e^q) with q = 1/(x-a) - 1/(b-x),
             # written through e^-|q| in (0, 1] so that no exp argument is
             # large and positive.  The larger of the value and its
             # complement is 1/(1 + e^-|q|) in [1/2, 1], bracketed from
             # integers alone: e^-|q| <= 1/p gives [p/(p+1), 1], and
             # N/D <= e^|q| <= H/G gives [N/(N+D), H/(H+G)].  Each end is
-            # rounded outward once onto the 10^-(d+1) grid, so the
-            # endpoints keep O(d) bits however large N, D, H and G grow.
+            # rounded outward once onto the 10^-d grid, so the results keep
+            # O(d) bits however large N, D, H and G grow.
             #
-            # Width: 1/(p+1) < 1/p <= 10^-(d+1), and E |-> E/(E+1) has slope
-            # 1/(E+1)^2 <= 1/4 on E >= 1 while H/G - N/D <= 10^-(d+1), so
-            # the exact bracket is at most 10^-(d+1) wide; the two roundings
-            # add at most 2·10^-(d+1), and 3·10^-(d+1) < 10^-d.  Integration
-            # rounds onto 10^-d, and floor(floor(y·10^(d+1))/10) =
-            # floor(y·10^d), so its sums are those of the exact bracket.
-            # In integers, for x = n/m: q = m (ad Q - bd P)/(P Q), with
-            # P = (x - a) m ad > 0 and Q = (b - x) m bd > 0, reduced by one gcd.
-            n, m = x.numerator, x.denominator
-            big_p, big_q = n * a.denominator - a.numerator * m, b.numerator * m - n * b.denominator
+            # Width: 1/(p+1) < 1/p <= 10^-d, and E |-> E/(E+1) has slope
+            # 1/(E+1)^2 <= 1/4 on E >= 1 while H/G - N/D <= 10^-d, so the
+            # exact bracket is at most 10^-d wide, and hi - lo <= 2.
+            # q = m (ad Q - bd P)/(P Q), reduced by one gcd.
             q_num, q_den = m * (a.denominator * big_q - b.denominator * big_p), big_p * big_q
             g = gcd(q_num, q_den)
             q_num, q_den = q_num // g, q_den // g
-            shift = _exp_negative_shift(abs(q_num), q_den, d + 1)
+            shift = _exp_negative_shift(abs(q_num), q_den, d)
             if shift is not None:
                 lo_num, lo_den, hi_num, hi_den = 1 << shift, (1 << shift) + 1, 1, 1
             else:
-                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q_num), q_den, d + 1)
+                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q_num), q_den, d)
                 lo_den += lo_num
                 hi_den += hi_num
             if q_num > 0:  # the complement 1 - larger
                 lo_num, lo_den, hi_num, hi_den = hi_den - hi_num, hi_den, lo_den - lo_num, lo_den
-            scale = 10 ** (d + 1)
-            return Enclosure(
-                Fraction(lo_num * scale // lo_den, scale),
-                Fraction(-(-hi_num * scale // hi_den), scale),
-            )
+            return lo_num * scale // lo_den, -(-hi_num * scale // hi_den)
 
         return FnDescriptor(
             name=f"smooth_step[{a},{b}]",
-            eval_enc=step_eval,
+            eval_grid=step_grid,
             monotone="increasing",
             bound=Fraction(1),
             breakpoints=(a, b),

@@ -419,14 +419,15 @@ def cmd_integrate(args) -> tuple[Report, int]:
     power = exponent is not None
     lo = None if args.a == "-inf" else _fraction(args.a)
     hi = None if args.b == "inf" else _fraction(args.b)
+    if lo is not None and hi is not None and (lo > hi or args.improper and lo == hi):
+        need = "a < b for an improper integral" if args.improper else "a <= b"
+        raise UsageError(f"positionals a = {args.a} and b = {args.b}: need {need}")
     _check_domain(args.fn, f, lo, hi, f"[{args.a}, {args.b}]",
                   ends=(lo, hi) if args.improper else ())
     if args.improper:
-        # a finite end where f is unbounded is a singular end, outside every
-        # window; [0, 0] keeps the lower one, whose window is empty
-        nonempty = lo is None or hi is None or lo < hi
+        # a finite end where f is unbounded is a singular end, outside every window
         singular_lo = lo in f.singular
-        singular_hi = nonempty and hi in f.singular
+        singular_hi = hi in f.singular
         comparisons = []
         if power:
             q, even = -exponent, exponent.numerator % 2 == 0  # x^p = |x|^-q if x >= 0 or even
@@ -439,7 +440,7 @@ def cmd_integrate(args) -> tuple[Report, int]:
                 comparisons.append(Comparison("p_at_zero", q))
             # the minorant t^-q at distance t from a singular end 0 needs x^p >= 0
             # beside it: below 0 only for even p
-            if nonempty and q >= 1 and (singular_lo or (singular_hi and even)):
+            if q >= 1 and (singular_lo or (singular_hi and even)):
                 comparisons.append(Comparison("minorant_p_at_zero", q))
         spec = integration.ImproperSpec(
             f, lo, hi,

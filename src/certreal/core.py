@@ -246,16 +246,24 @@ class FnDescriptor:
     `monotone_pieces`; `monotone_split` is the one reader of both, and
     every path that needs monotone pieces goes through it.
 
-    Evaluation: `eval_rat` for exactly rational-valued functions,
-    `eval_enc(x, digits)` for functions only available as enclosures of
-    width <= 10**-digits.  At least one must be present unless the
-    descriptor is darboux-only (e.g. the rational-indicator function,
-    which is used solely through its per-interval inf/sup rule).
+    Evaluation, three oracle kinds: `eval_rat` for exactly rational-valued
+    functions; `eval_enc(x, digits)` for functions only available as
+    enclosures of width <= 10**-digits; and `eval_grid(n, m, d)`, which
+    returns integers (lo, hi) with lo 10**-d <= f(n/m) <= hi 10**-d, the
+    floor and ceil of a bracket at most 10**-d wide (so hi - lo <= 2), for
+    an oracle that computes on the decimal grid anyway: it takes and gives
+    integers, and the Darboux point loop builds no Fraction for it.
+    `enclosure_at(x, digits)` asks a grid oracle at digits + 1, which keeps
+    its width below 3 10**-(digits+1) < 10**-digits.  At least one must be
+    present unless the descriptor is darboux-only (e.g. the
+    rational-indicator function, which is used solely through its
+    per-interval inf/sup rule).
     """
 
     name: str = ""
     eval_rat: Optional[Callable[[Fraction], Fraction]] = None
     eval_enc: Optional[Callable[[Fraction, int], Enclosure]] = None
+    eval_grid: Optional[Callable[[int, int, int], tuple[int, int]]] = None
     monotone: Optional[str] = None
     monotone_pieces: Optional[tuple[MonotonePiece, ...]] = None
     lipschitz: Optional[Fraction] = None
@@ -280,7 +288,8 @@ class FnDescriptor:
         if self.bound is not None:
             object.__setattr__(self, "bound", to_rational(self.bound))
         object.__setattr__(self, "breakpoints", tuple(to_rational(b) for b in self.breakpoints))
-        if self.eval_rat is None and self.eval_enc is None and not self.darboux_only:
+        if (self.eval_rat is None and self.eval_enc is None and self.eval_grid is None
+                and not self.darboux_only):
             raise ValueError("descriptor needs an evaluation oracle (or darboux_only)")
 
     def value_at(self, x: RationalLike) -> Fraction:
@@ -297,6 +306,10 @@ class FnDescriptor:
             return Enclosure.point(self.eval_rat(x))
         if self.eval_enc is not None:
             return self.eval_enc(x, digits)
+        if self.eval_grid is not None:
+            scale = 10 ** (digits + 1)
+            lo, hi = self.eval_grid(x.numerator, x.denominator, digits + 1)
+            return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
         raise MissingMetadataError(f"{self.name or 'function'} is darboux-only; no point oracle")
 
     def with_meta(self, **changes) -> "FnDescriptor":

@@ -109,6 +109,29 @@ def _raw_bounds(f: FnDescriptor, x: Fraction, digits: int) -> tuple[Fraction, Fr
     return enc.lo, enc.hi
 
 
+def _grid_bounds(f: FnDescriptor, n: int, m: int, digits: int) -> tuple[int, int, Fraction | int]:
+    """(lo, hi, off) with lo 10^-digits + off <= f(n/m) <= hi 10^-digits + off.
+
+    An exact value off the 10^-digits grid comes back whole as off, with
+    lo = hi = 0; any other value has off = 0, and lo, hi are the floor and
+    ceil of its bounds on the grid (equal for an exact value on it).  A
+    grid oracle's answer is always taken as bounds: it is asked at
+    digits + 1, as `enclosure_at` asks it, and one digit is dropped by
+    floor and ceil division by 10, with no Fraction:
+    floor(floor(y 10^(digits+1))/10) = floor(y 10^digits), the integers
+    `_grid_ends` gives for its enclosure.
+    """
+    if f.eval_rat is None and f.eval_enc is None:
+        lo, hi = f.eval_grid(n, m, digits + 1)
+        return lo // 10, -(-hi // 10), 0
+    scale = 10**digits
+    lo, hi = _raw_bounds(f, Fraction(n, m), digits)
+    if lo == hi and scale % lo.denominator:
+        return 0, 0, lo
+    lo, hi = _grid_ends(lo, hi, scale)
+    return lo, hi, 0
+
+
 def _interval_bounds_monotone(
     f: FnDescriptor, lo: Fraction, hi: Fraction, digits: int
 ) -> tuple[Fraction, Fraction, bool]:
@@ -444,9 +467,11 @@ def _running_darboux(
     increasing piece has U - L = h (f(v)^+ - f(u)^-) + h sum_i (hi_i - lo_i)
     over the k - 1 interior points (decreasing: u and v swap).  Each term
     is below 3 10^-digits: the oracle's width 10^-digits plus a floor and a
-    ceil onto the grid, or, for an exact value off the grid, the one grid
-    step its fold into the sum can add.  A Lipschitz piece has the end
-    term h ((f(u)^+ - f(u)^-) + (f(v)^+ - f(v)^-))/2 and adds h L (v - u).
+    ceil onto the grid (a grid oracle, asked at digits + 1, is at most two
+    steps of 10^-(digits+1) wide before the floor and ceil), or, for an
+    exact value off the grid, the one grid step its fold into the sum can
+    add.  A Lipschitz piece has the end term
+    h ((f(u)^+ - f(u)^-) + (f(v)^+ - f(v)^-))/2 and adds h L (v - u).
     With D = end_hi - end_lo, the end term over h, that is
     U - L < spread/k + 3 (v - u) 10^-digits for spread = (v - u)(D + L (v - u))
     (L = 0 on a monotone piece), and `cells` picks k from spread before any
@@ -454,12 +479,14 @@ def _running_darboux(
     each point evaluated once, in O(1) memory, and ends.
 
     It runs in integers on the grid points (first + i step)/den of
-    `_grid(u, v, k)`.  Each sum is G/10^digits + E: the integer G takes the
-    rounded values and the exact ones on the grid, and E (one for both
-    sums, as exact values enter both) the exact ones off it.  Rounding S
-    outward adds floor(E 10^digits) (upper sum: ceil) to G, so the rule is
-    checked only while E != 0, and each S is the rational that Fraction
-    sums would hold.  Fractions are built only for the points and the pair.
+    `_grid(u, v, k)`, each read through `_grid_bounds`.  Each sum is
+    G/10^digits + E: the integer G takes the rounded values and the exact
+    ones on the grid, and E (one for both sums, as exact values enter both)
+    the exact ones off it.  Rounding S outward adds floor(E 10^digits)
+    (upper sum: ceil) to G, so the rule is checked only while E != 0, and
+    each S is the rational that Fraction sums would hold.  An interior
+    point of a grid oracle builds no Fraction; the other oracles take the
+    point as one Fraction and return theirs.
     """
     scale = 10**digits
     outer = kind == "lipschitz"
@@ -490,12 +517,11 @@ def _running_darboux(
     x, step, den = _grid(u, v, k)
     for _ in range(k - 1):
         x += step
-        lo, hi = _raw_bounds(f, Fraction(x, den), digits)
-        if lo == hi and scale % lo.denominator:
-            e += lo  # exact, off the grid
+        lo, hi, off = _grid_bounds(f, x, den, digits)
+        if off:
+            e += off  # exact, off the grid
         else:
             outer = outer or lo != hi
-            lo, hi = _grid_ends(lo, hi, scale)  # an exact value on the grid: itself
             g_lo, g_hi = g_lo + lo, g_hi + hi
         if e and (exceeds(g_lo) or exceeds(g_hi)):
             (lo, hi), e = _grid_ends(e, e, scale), Fraction(0)

@@ -187,6 +187,77 @@ def test_smooth_step_is_the_reference_rounded_outward(a, span, t, d):
     assert scale % enc.lo.denominator == 0 and scale % enc.hi.denominator == 0
 
 
+def _step_eval_reference(a, b, x, d):
+    """The smooth-step enclosure oracle that `eval_grid` replaced: the same
+    integer brackets, built from the Fraction x and returned as an
+    Enclosure on the 10^-(d+1) grid."""
+    from math import gcd
+
+    from certreal.powerseries import _exp_negative_shift, _exp_series
+
+    if x <= a:
+        return Enclosure.point(0)
+    if x >= b:
+        return Enclosure.point(1)
+    n, m = x.numerator, x.denominator
+    big_p, big_q = n * a.denominator - a.numerator * m, b.numerator * m - n * b.denominator
+    q_num, q_den = m * (a.denominator * big_q - b.denominator * big_p), big_p * big_q
+    g = gcd(q_num, q_den)
+    q_num, q_den = q_num // g, q_den // g
+    shift = _exp_negative_shift(abs(q_num), q_den, d + 1)
+    if shift is not None:
+        lo_num, lo_den, hi_num, hi_den = 1 << shift, (1 << shift) + 1, 1, 1
+    else:
+        lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q_num), q_den, d + 1)
+        lo_den += lo_num
+        hi_den += hi_num
+    if q_num > 0:
+        lo_num, lo_den, hi_num, hi_den = hi_den - hi_num, hi_den, lo_den - lo_num, lo_den
+    scale = 10 ** (d + 1)
+    return Enclosure(
+        F(lo_num * scale // lo_den, scale), F(-(-hi_num * scale // hi_den), scale)
+    )
+
+
+_NEAR_END = st.builds(lambda k: F(1, k), st.integers(20, 10**6))  # 1/k < 1/12 <= span
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=st.fractions(-20, 20, max_denominator=12),
+       span=st.fractions(F(1, 12), 30, max_denominator=12),
+       where=st.one_of(
+           st.tuples(st.just("inside"), st.fractions(F(-1, 10), F(11, 10), max_denominator=1000)),
+           st.tuples(st.sampled_from(["near a", "near b"]), _NEAR_END),
+           st.tuples(st.sampled_from(["below a", "above b"]), st.fractions(0, 5))),
+       unreduced=st.integers(1, 7), d=st.integers(1, 40))
+def test_smooth_step_grid_oracle_is_the_enclosure_oracle_times_the_scale(
+        a, span, where, unreduced, d):
+    """eval_grid(n, m, d + 1) is the reference's endpoints times 10^(d+1),
+    for x = n/m reduced or not: inside (a, b), at and beyond either end, and
+    so close to a or b that |q| is large and the shift path answers."""
+    from certreal.powerseries import _exp_negative_shift
+
+    b = a + span
+    kind, t = where
+    x = {"inside": a + span * t, "near a": a + t, "near b": b - t,
+         "below a": a - t, "above b": b + t}[kind]
+    reference = _step_eval_reference(a, b, x, d)
+    scale = 10 ** (d + 1)
+    grid = gallery("smooth_step", a=a, b=b).eval_grid
+    got = grid(x.numerator * unreduced, x.denominator * unreduced, d + 1)
+    assert got == (reference.lo * scale, reference.hi * scale)
+    assert 0 <= got[1] - got[0] <= 2
+    q = abs(1 / (x - a) - 1 / (b - x)) if a < x < b else 0
+    if q >= 3 * (d + 1) + 1:  # e^-|q| <= 2^-floor(1.442 |q|) <= 10^-(d+1)
+        assert _exp_negative_shift(q.numerator, q.denominator, d + 1) is not None
+
+
+def test_smooth_step_has_only_the_grid_oracle():
+    step = gallery("smooth_step", a=0, b=1)
+    assert step.eval_enc is None and step.eval_rat is None and step.eval_grid is not None
+    assert gallery("flat_bump").eval_grid is None
+
+
 def test_sawtooth_integer_sums_equal_the_layer_sums():
     rng = random.Random(11)
     for cap in (0, 1, 5, 12):

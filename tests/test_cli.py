@@ -339,7 +339,7 @@ def test_sawtooth_integral_is_certified(capsys):
 
 def test_power_singular_at_zero_diverges(capsys):
     # x^p >= t^p on (0, 1] with p <= -1: a head minorant whose integral is
-    # unbounded; p = -1/2 still converges, and [0, 0] stays an error
+    # unbounded; p = -1/2 still converges, and [0, 0] is a usage error
     for fn in ("x^-2", "x^-1", "x^-3/2"):
         code, out, _ = run(capsys, "integrate", fn, "0", "1", "--improper", "--json")
         payload = json.loads(out)
@@ -349,7 +349,20 @@ def test_power_singular_at_zero_diverges(capsys):
     code, out, _ = run(capsys, "integrate", "x^-1/2", "0", "1", "--improper", "--json")
     assert code == 0 and json.loads(out)["status"] == "Converges"
     code, _, err = run(capsys, "integrate", "x^-2", "0", "0", "--improper")
-    assert code == 1 and "need a <= b" in err
+    assert code == 1 and "need a < b for an improper integral" in err
+
+
+@pytest.mark.parametrize("argv,need", [
+    (["poly:x^2", "4", "1"], "a <= b"),
+    (["x^-2", "1", "0"], "a <= b"),
+    (["x^-2", "--improper", "--", "0", "0"], "a < b for an improper integral"),
+])
+def test_reversed_or_empty_span_is_a_usage_error(capsys, argv, need):
+    # these printed the library's "error: need a <= b"
+    code, out, err = run(capsys, "integrate", *argv)
+    a, b = argv[-2:]
+    assert (code, out) == (1, "")
+    assert err == f"usage error: positionals a = {a} and b = {b}: need {need}\n"
 
 
 def test_power_function_refuses_negative_intervals(capsys):
@@ -584,6 +597,7 @@ def _predicted_usage_error(f, span, where, needs) -> bool:
     pieces = f.step_pieces
     return ("exact" in needs and f.eval_rat is None
             or "point" in needs and f.eval_rat is None and f.eval_enc is None
+            and f.eval_grid is None
             or "pieces" in needs and pieces is not None
             and not pieces[0][0] <= lo <= hi <= pieces[-1][1])
 

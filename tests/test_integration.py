@@ -500,11 +500,11 @@ def test_darboux_doubling_evaluates_each_point_once():
     f = gallery("smooth_step", a=0, b=1)
     calls = []
 
-    def counted(x, digits):
-        calls.append(x)
-        return f.eval_enc(x, digits)
+    def counted(n, m, digits):
+        calls.append(F(n, m))
+        return f.eval_grid(n, m, digits)
 
-    result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(3, 500))
+    result = integrate_enclosure(f.with_meta(eval_grid=counted), 0, 1, F(3, 500))
     assert result.status is Status.CONVERGES
     assert result.subintervals == 167
     assert len(calls) == len(set(calls)) == 168
@@ -537,11 +537,11 @@ def test_tight_smoothstep_refines_each_point_once():
     f = gallery("smooth_step", a=0, b=1)
     calls = []
 
-    def counted(x, digits):
-        calls.append(x)
-        return f.eval_enc(x, digits)
+    def counted(n, m, digits):
+        calls.append(F(n, m))
+        return f.eval_grid(n, m, digits)
 
-    result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
+    result = integrate_enclosure(f.with_meta(eval_grid=counted), 0, 1, F(1, 10**4))
     assert result.status is Status.CONVERGES
     assert result.subintervals == 10001
     assert len(calls) == len(set(calls)) == 10002
@@ -559,36 +559,44 @@ def test_unreachable_share_costs_two_oracle_calls():
     f = gallery("smooth_step", a=0, b=1)
     calls = []
 
-    def counted(x, digits):
-        calls.append(x)
-        return f.eval_enc(x, digits)
+    def counted(n, m, digits):
+        calls.append(F(n, m))
+        return f.eval_grid(n, m, digits)
 
     for width, digits in ((F(1, 10**9), None), (F(1, 10**4), 4)):
         calls.clear()
-        result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, width, digits=digits)
+        result = integrate_enclosure(f.with_meta(eval_grid=counted), 0, 1, width, digits=digits)
         assert result.status is Status.INCONCLUSIVE and result.subintervals == 1
         assert sorted(calls) == [0, 1] and result.enclosure.contains(F(1, 2))
     assert _capped_k(F(2**24 - 1), F(1)) == 2**24 and _capped_k(F(2**24), F(1)) == 1
     assert _capped_k(F(1), F(0)) == 1
 
 
-def test_smoothstep_point_loop_builds_three_fractions_per_point():
+def test_smoothstep_point_loop_builds_no_fraction_per_point():
     # a machine-independent counter: every Fraction built while smooth_step
-    # [0, 1] is integrated to 1e-4, per oracle point.  The midpoint and the
-    # oracle's two grid endpoints are three; the rest is per bracket.  The
-    # loop built 20 per point when the midpoints, the exp argument, the
+    # [0, 1] is integrated to 1e-4 (k = 10,001) and to 1e-3 (k = 1,001).
+    # The grid oracle takes each point as integers and returns integers, so
+    # the interior points build none and both counts are the per-bracket
+    # Fractions alone.  The loop built 3 per point when the oracle took and
+    # returned Fractions, and 20 when the midpoints, the exp argument, the
     # outward rounding and the running sums were Fraction arithmetic
     f = gallery("smooth_step", a=0, b=1)
     points = []
 
-    def counted(x, digits):
-        points.append(x)
-        return f.eval_enc(x, digits)
+    def counted(n, m, digits):
+        points.append((n, m))
+        return f.eval_grid(n, m, digits)
 
+    counted_f = f.with_meta(eval_grid=counted)
+    integrate_enclosure(f, 0, 1, F(1, 10))  # the oracle's first call imports powerseries
+    with fractions_built() as coarse:
+        integrate_enclosure(counted_f, 0, 1, F(1, 10**3))
+    assert len(points) == 1002
+    points.clear()
     with fractions_built() as built:
-        result = integrate_enclosure(f.with_meta(eval_enc=counted), 0, 1, F(1, 10**4))
+        result = integrate_enclosure(counted_f, 0, 1, F(1, 10**4))
     assert len(points) == 10002
-    assert built.count <= 4 * len(points), built.count / len(points)
+    assert built.count == coarse.count, (built.count, coarse.count)
     assert result.enclosure == Enclosure(F(49999999994993, 100010000000000),
                                          F(50010000005007, 100010000000000))
 
