@@ -387,6 +387,9 @@ def cmd_converge(args) -> tuple[Report, int]:
         raise UsageError("--horizon must be at least 1")
     handle = _series_from_flags(args.family, args)
     policy = tuple(args.policy.split(",")) if args.policy else series.DEFAULT_POLICY
+    for name in policy:
+        if name not in series._TESTS:
+            raise UsageError(f"--policy names unknown test {name!r}")
     verdict = series.classify(handle, policy, args.horizon)
     report = Report(
         "converge",
@@ -604,7 +607,7 @@ def cmd_sample(args) -> tuple[Report, int]:
             table, m = _poly_table(f.poly_coeffs, first, step, den)
             values = (_decimal(n, m, digits) for n in _table_rows(table))
         elif f.eval_rat is not None:
-            values = (decimal_string(f.eval_rat(Fraction(x, den)), digits) for x in xs)
+            values = (decimal_string(f.value_at(Fraction(x, den)), digits) for x in xs)
         else:
             values = (decimal_string(f.enclosure_at(Fraction(x, den), digits + 4).midpoint(),
                                      digits) for x in xs)

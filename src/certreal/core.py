@@ -258,6 +258,10 @@ class FnDescriptor:
     present unless the descriptor is darboux-only (e.g. the
     rational-indicator function, which is used solely through its
     per-interval inf/sup rule).
+
+    Three readers, `value_at`, `enclosure_at` and `grid_bounds`, are the
+    only callers of the oracles.  Code outside this class may test which
+    oracle exists (to pick a fast path), but reads values only through them.
     """
 
     name: str = ""
@@ -311,6 +315,32 @@ class FnDescriptor:
             lo, hi = self.eval_grid(x.numerator, x.denominator, digits + 1)
             return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
         raise MissingMetadataError(f"{self.name or 'function'} is darboux-only; no point oracle")
+
+    def grid_bounds(self, n: int, m: int, digits: int) -> tuple[int, int, Fraction | int]:
+        """(lo, hi, off) with lo 10^-digits + off <= f(n/m) <= hi 10^-digits + off.
+
+        An exact value off the 10^-digits grid comes back whole as off, with
+        lo = hi = 0; any other value has off = 0, and lo, hi are the floor and
+        ceil of its bounds on the grid (equal for an exact value on it).  A
+        grid oracle's answer is always taken as bounds: it is asked at
+        digits + 1, as `enclosure_at` asks it, and one digit is dropped by
+        floor and ceil division by 10, with no Fraction:
+        floor(floor(y 10^(digits+1))/10) = floor(y 10^digits), the integers
+        `_grid_ends` gives for its enclosure.
+        """
+        if self.eval_grid is not None and self.eval_rat is None and self.eval_enc is None:
+            lo, hi = self.eval_grid(n, m, digits + 1)
+            return lo // 10, -(-hi // 10), 0
+        if self.eval_rat is not None:
+            lo = hi = self.eval_rat(Fraction(n, m))
+        else:
+            enclosure = self.enclosure_at(Fraction(n, m), digits)
+            lo, hi = enclosure.lo, enclosure.hi
+        scale = 10**digits
+        if lo == hi and scale % lo.denominator:
+            return 0, 0, lo
+        lo, hi = _grid_ends(lo, hi, scale)
+        return lo, hi, 0
 
     def with_meta(self, **changes) -> "FnDescriptor":
         return replace(self, **changes)

@@ -100,38 +100,6 @@ class DarbouxPair:
         return self.upper - self.lower
 
 
-def _raw_bounds(f: FnDescriptor, x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """(lower, upper) for f(x) without Enclosure overhead on exact oracles."""
-    if f.eval_rat is not None:
-        value = f.eval_rat(x)
-        return value, value
-    enc = f.enclosure_at(x, digits)
-    return enc.lo, enc.hi
-
-
-def _grid_bounds(f: FnDescriptor, n: int, m: int, digits: int) -> tuple[int, int, Fraction | int]:
-    """(lo, hi, off) with lo 10^-digits + off <= f(n/m) <= hi 10^-digits + off.
-
-    An exact value off the 10^-digits grid comes back whole as off, with
-    lo = hi = 0; any other value has off = 0, and lo, hi are the floor and
-    ceil of its bounds on the grid (equal for an exact value on it).  A
-    grid oracle's answer is always taken as bounds: it is asked at
-    digits + 1, as `enclosure_at` asks it, and one digit is dropped by
-    floor and ceil division by 10, with no Fraction:
-    floor(floor(y 10^(digits+1))/10) = floor(y 10^digits), the integers
-    `_grid_ends` gives for its enclosure.
-    """
-    if f.eval_rat is None and f.eval_enc is None:
-        lo, hi = f.eval_grid(n, m, digits + 1)
-        return lo // 10, -(-hi // 10), 0
-    scale = 10**digits
-    lo, hi = _raw_bounds(f, Fraction(n, m), digits)
-    if lo == hi and scale % lo.denominator:
-        return 0, 0, lo
-    lo, hi = _grid_ends(lo, hi, scale)
-    return lo, hi, 0
-
-
 def _interval_bounds_monotone(
     f: FnDescriptor, lo: Fraction, hi: Fraction, digits: int
 ) -> tuple[Fraction, Fraction, bool]:
@@ -140,19 +108,17 @@ def _interval_bounds_monotone(
     his: list[Fraction] = []
     exact = True
     for u, v, direction in f.monotone_split(lo, hi):
-        u_lo, u_hi = _raw_bounds(f, u, digits)
-        v_lo, v_hi = _raw_bounds(f, v, digits)
-        if u_lo != u_hi or v_lo != v_hi:
-            exact = False
+        at_u, at_v = f.enclosure_at(u, digits), f.enclosure_at(v, digits)
+        exact = exact and at_u.lo == at_u.hi and at_v.lo == at_v.hi
         if direction == "increasing":
-            los.append(u_lo)
-            his.append(v_hi)
+            los.append(at_u.lo)
+            his.append(at_v.hi)
         elif direction == "decreasing":
-            los.append(v_lo)
-            his.append(u_hi)
+            los.append(at_v.lo)
+            his.append(at_u.hi)
         else:
-            los.append(min(u_lo, v_lo))
-            his.append(max(u_hi, v_hi))
+            los.append(min(at_u.lo, at_v.lo))
+            his.append(max(at_u.hi, at_v.hi))
     return min(los), max(his), exact
 
 
@@ -216,12 +182,12 @@ def darboux(f: FnDescriptor, partition: Partition, digits: int = 30) -> DarbouxP
             m, big_m, exact = _interval_bounds_monotone(f, lo, hi, digits)
             outer = outer or not exact
         else:
-            mid_lo, mid_hi = _raw_bounds(f, (lo + hi) / 2, digits)
+            mid = f.enclosure_at((lo + hi) / 2, digits)
             # Snap outward to a shared decimal grid: still valid outer
             # bounds, and the exact fold over many intervals stays linear
             # (unrelated denominators would make it quadratic).
             half_swing = f.lipschitz * width / 2
-            m, big_m = _round_out(mid_lo - half_swing, mid_hi + half_swing, 10**digits)
+            m, big_m = _round_out(mid.lo - half_swing, mid.hi + half_swing, 10**digits)
         records.append((m, big_m))
         lower += m * width
         upper += big_m * width
@@ -459,8 +425,11 @@ def _running_darboux(
     sums stay on the 10^-digits grid, at O(digits) bits whatever the
     oracle returns: a point enclosure that is not exact is rounded outward
     before it enters them, and a sum of exact values is rounded outward
-    once its denominator exceeds 10^digits.  `outer` is set for a
-    Lipschitz piece, and otherwise once anything was rounded.
+    once its denominator exceeds 10^digits.  The two end values follow the
+    rule of the interior points, read by the same `f.grid_bounds`: an exact
+    value stays whole, any other (a grid oracle's always) is floored and
+    ceiled onto the grid.  `outer` is set for a Lipschitz piece, and
+    otherwise once anything was rounded.
 
     The width, telescoped as for a monotone f (Rudin, Thm 6.9): with
     f(u)^- and f(v)^+ the lower and upper end values after rounding, an
@@ -479,7 +448,7 @@ def _running_darboux(
     each point evaluated once, in O(1) memory, and ends.
 
     It runs in integers on the grid points (first + i step)/den of
-    `_grid(u, v, k)`, each read through `_grid_bounds`.  Each sum is
+    `_grid(u, v, k)`, each read through `f.grid_bounds`.  Each sum is
     G/10^digits + E: the integer G takes the rounded values and the exact
     ones on the grid, and E (one for both sums, as exact values enter both)
     the exact ones off it.  Rounding S outward adds floor(E 10^digits)
@@ -489,21 +458,14 @@ def _running_darboux(
     point as one Fraction and return theirs.
     """
     scale = 10**digits
-    outer = kind == "lipschitz"
-
-    def bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-        nonlocal outer
-        lo, hi = _raw_bounds(f, x, digits)
-        if lo == hi:
-            return lo, hi
-        outer = True
-        return _round_out(lo, hi, scale)
+    ends = [f.grid_bounds(x.numerator, x.denominator, digits) for x in (u, v)]
+    outer = kind == "lipschitz" or any(lo != hi for lo, hi, _ in ends)
+    (u_lo, u_hi), (v_lo, v_hi) = [(Fraction(lo, scale) + off, Fraction(hi, scale) + off)
+                                  for lo, hi, off in ends]
 
     def exceeds(g: int) -> bool:  # the rounding rule, for the sum g/scale + e
         return (Fraction(g, scale) + e).denominator > scale
 
-    u_lo, u_hi = bounds(u)
-    v_lo, v_hi = bounds(v)
     swing = Fraction(0)
     if kind == "lipschitz":
         end_lo, end_hi = (u_lo + v_lo) / 2, (u_hi + v_hi) / 2
@@ -517,7 +479,7 @@ def _running_darboux(
     x, step, den = _grid(u, v, k)
     for _ in range(k - 1):
         x += step
-        lo, hi, off = _grid_bounds(f, x, den, digits)
+        lo, hi, off = f.grid_bounds(x, den, digits)
         if off:
             e += off  # exact, off the grid
         else:
@@ -962,7 +924,7 @@ def parts_check(
             lip = f.lipschitz * g.bound + g.lipschitz * f.bound
         return FnDescriptor(
             name=f"({f.name})*({g.name})",
-            eval_rat=(lambda x, _f=f, _g=g: _f.eval_rat(x) * _g.eval_rat(x))
+            eval_rat=(lambda x, _f=f, _g=g: _f.value_at(x) * _g.value_at(x))
             if f.eval_rat is not None and g.eval_rat is not None
             else None,
             lipschitz=lip,

@@ -285,6 +285,7 @@ def test_negative_digits_is_a_usage_error(capsys):
      "--interval needs a < b"),
     (["taylor", "exp", "--order", "3", "--x", "1/2", "--deriv-range", "2,1"],
      "--deriv-range needs lo <= hi"),
+    (["converge", "alt-harmonic", "--policy", "bogus"], "--policy names unknown test 'bogus'"),
 ])
 def test_malformed_flag_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -618,6 +619,40 @@ def test_domain_walk_predicts_every_usage_error(capsys):
             assert argv[1] in err or "--from/--to" in err or "--interval" in err, argv
         else:
             assert code in (0, 2) and out and err == "", (argv, err)
+
+
+_STDLIB_ONLY_ARGVS = [
+    ["integrate", "x^1/97", "1", "2", "--width", "1e-3"],  # x^p as exp(p ln x)
+    ["integrate", "gallery:smoothstep:0:1", "0", "1", "--width", "1e-2"],
+    ["sample", "gallery:bump"],
+    ["constants", "euler-gamma"],
+    ["taylor", "sin", "--order", "3", "--x", "1/2"],
+    ["bernstein", "poly:x^2", "--degree", "12", "--x", "1/3"],
+    ["rearrange", "alt-harmonic", "--pattern", "2,1", "--steps", "99"],
+    ["converge", "p-series", "--p", "2"],
+]
+
+
+def test_every_subcommand_runs_on_the_standard_library_alone():
+    # `python -S` leaves site-packages off the path, so an import of a
+    # test-time tool (mpmath, hypothesis) on any of these paths, the lazy
+    # imports included, fails here
+    import os
+    import subprocess
+
+    import certreal
+
+    env = dict(os.environ, PYTHONPATH=str(Path(certreal.__file__).resolve().parents[1]))
+
+    def run_bare(*args):
+        return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    if run_bare("-c", "import mpmath").returncode == 0:
+        pytest.skip("mpmath imports without site-packages: the runtime is not isolated")
+    for argv in _STDLIB_ONLY_ARGVS:
+        done = run_bare("-m", "certreal.cli", *argv)
+        assert done.returncode in (0, 2) and done.stderr == "", (argv, done.stderr)
 
 
 def test_closed_stdout_ends_quietly():

@@ -1,8 +1,10 @@
 """Golden byte-identity check of the CLI's stdout.
 
 `data/cli_golden.json` stores, for every argv below run once with `--json`
-and once in text mode, the exit code and the sha256 of stdout.  Text
-output drops its `elapsed:` line, the only part that depends on timing.
+and once in text mode, the exit code and the sha256 of stdout, and the
+sha256 of stderr when the run wrote any (error texts are pinned too).
+Text output drops its `elapsed:` line, the only part that depends on
+timing.
 The argvs cover every subcommand, every `integrate` path the CLI can
 reach (antiderivative, step, monotone Darboux, range rule, breakpoint
 split, improper with each comparison kind the CLI builds) and `sample`
@@ -143,20 +145,28 @@ LIBRARY = {
 }
 
 
-def _run(argv: list[str], json_mode: bool) -> tuple[int, str]:
-    """Exit code and stdout of one run of the CLI."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str], json_mode: bool) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one run of the CLI."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], "--json", *argv[1:]] if json_mode else list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def capture(argv: list[str], json_mode: bool) -> dict:
-    """Exit code and sha256 of stdout for one run of the CLI."""
-    code, out = _run(argv, json_mode)
+    """Exit code and sha256 of stdout for one run of the CLI, and of stderr
+    when it is not empty."""
+    code, out, err = _run(argv, json_mode)
     lines = out.splitlines(keepends=True)
     kept = "".join(line for line in lines if not line.startswith("elapsed: "))
-    return {"code": code, "sha256": hashlib.sha256(kept.encode()).hexdigest()}
+    result = {"code": code, "sha256": _sha256(kept)}
+    if err:
+        result["stderr"] = _sha256(err)
+    return result
 
 
 def _key(argv: list[str], json_mode: bool) -> str:
@@ -173,7 +183,7 @@ def _library_hash(name: str) -> str:
         text = repr(LIBRARY[name]())
     finally:
         sys.set_int_max_str_digits(previous)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(text)
 
 
 @pytest.mark.parametrize("argv,json_mode", CASES, ids=[_key(*case) for case in CASES])
@@ -199,7 +209,7 @@ def test_cli_certificates_share_one_shape():
     fields = {"test", "witnesses", "machine_checked", "asserted", "detail"}
     tests = set()
     for argv in ARGVS:
-        _, out = _run(argv, True)
+        _, out, _ = _run(argv, True)
         cert = json.loads(out)["certificate"] if out else None
         if cert is not None:
             assert {"test", "witnesses", "machine_checked"} <= set(cert) <= fields, argv

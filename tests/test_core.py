@@ -1,14 +1,18 @@
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import certreal
 from certreal.approx import gallery
 
 from certreal.core import (
     Certificate,
     Enclosure,
+    FnDescriptor,
     _grid_points,
     _poly_eval,
     _poly_table,
@@ -302,3 +306,74 @@ def test_a_reduction_certificate_is_as_checked_as_its_inner_one():
     assert cert == Certificate("registered:r", {"w": 1}, False, ("outer", "inner"), "why")
     assert Certificate.from_reduction(Certificate("p_series", {}), "abs_convergence", {}) == (
         Certificate("abs_convergence", {}))
+
+
+def _grid_oracle(c):
+    # c x on the 10^-d grid: its floor, less one step, and its ceil
+    def grid(n, m, d):
+        num, den = c.numerator * n * 10**d, c.denominator * m
+        return num // den - 1, -(-num // den)
+    return grid
+
+
+_ORACLE_KINDS = {
+    "exact": lambda c: FnDescriptor(eval_rat=lambda x: c * x),
+    "enclosure": lambda c: FnDescriptor(
+        eval_enc=lambda x, d: Enclosure(c * x - F(1, 3 * 10**d), c * x + F(1, 3 * 10**d))),
+    "grid": lambda c: FnDescriptor(eval_grid=_grid_oracle(c)),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(_ORACLE_KINDS)), rationals, rationals, st.integers(0, 12))
+@example("exact", F(3, 20), F(2), 2)  # 3/10, on the 10^-2 grid
+@example("exact", F(1, 3), F(1), 4)  # 1/3, off every decimal grid
+@example("exact", F(0), F(1, 7), 0)
+@example("grid", F(1, 4), F(1, 10), 1)  # 1/40: the oracle's [1, 3] 10^-2 is [0, 1] 10^-1
+def test_grid_bounds_reads_enclosure_at_onto_the_grid(kind, c, x, digits):
+    """(lo, hi, off) of `grid_bounds` against `enclosure_at`, for every
+    oracle kind: an exact value on the 10^-digits grid gives lo = hi and
+    off = 0, one off it comes back whole as off, an enclosure gives the
+    floor and ceil of its ends, and a grid oracle's answer at digits + 1
+    loses one digit by floor and ceil division and still contains
+    `enclosure_at`."""
+    f = _ORACLE_KINDS[kind](c)
+    scale = 10**digits
+    lo, hi, off = f.grid_bounds(x.numerator, x.denominator, digits)
+    enc = f.enclosure_at(x, digits)
+    if kind == "grid":
+        grid_lo, grid_hi = f.eval_grid(x.numerator, x.denominator, digits + 1)
+        assert (lo, hi, off) == (grid_lo // 10, -(-grid_hi // 10), 0)
+        assert F(lo, scale) <= enc.lo and enc.hi <= F(hi, scale)
+    elif enc.lo == enc.hi and (enc.lo * scale).denominator == 1:
+        assert lo == hi == enc.lo * scale and off == 0
+    elif enc.lo == enc.hi:
+        assert (lo, hi, off) == (0, 0, enc.lo)
+    else:
+        assert (lo, hi, off) == (math.floor(enc.lo * scale), math.ceil(enc.hi * scale), 0)
+
+
+def test_a_darboux_only_descriptor_has_no_grid_bounds():
+    # as `enclosure_at` refuses it; a monotone claim does not make it point-evaluable
+    from certreal.integration import integrate_enclosure
+
+    f = FnDescriptor(name="f", darboux_only=True, monotone="increasing")
+    with pytest.raises(MissingMetadataError, match="darboux-only"):
+        f.grid_bounds(1, 2, 4)
+    with pytest.raises(MissingMetadataError, match="darboux-only"):
+        integrate_enclosure(f, 0, 1, F(1, 10))
+
+
+def test_only_core_calls_the_oracles():
+    # every point value is read through FnDescriptor's readers
+    # (`value_at`, `enclosure_at`, `grid_bounds`); other modules may test
+    # which oracle a descriptor has, but call none
+    oracles = {"eval_rat", "eval_enc", "eval_grid"}
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(certreal.__file__).parent.glob("*.py")) if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in oracles
+    ]
+    assert calls == []

@@ -23,7 +23,6 @@ from certreal.integration import (
     Partition,
     _digits_for,
     _lower_incomplete_series,
-    _raw_bounds,
     _running_darboux,
     darboux,
     gamma,
@@ -614,7 +613,8 @@ def _reference_running_darboux(f, u, v, kind, digits, k):
 
     def bounds(x):
         nonlocal outer
-        lo, hi = _raw_bounds(f, x, digits)
+        enc = f.enclosure_at(x, digits)
+        lo, hi = enc.lo, enc.hi
         if lo == hi:
             return lo, hi
         outer = True
