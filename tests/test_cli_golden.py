@@ -58,6 +58,14 @@ ARGVS = [
      "comparison,limit_comparison,integral,nth_term,geometric,p_series,ratio,root,alternating"],
     ["converge", "alt-harmonic", "--policy", "bogus"],
     ["converge", "mystery-family"],
+    ["converge", "p-series"],
+    ["converge", "exp-terms"],
+    ["converge", "factorial-power"],
+    ["converge", "geometric", "--a", "1/2"],
+    ["rearrange", "geometric", "--pattern", "2,1"],
+    ["converge", "geometric", "--r", "oops", "--a", "worse"],
+    ["converge", "p-series", "--p", "x"],
+    ["converge", "custom"],
     ["integrate", "poly:x^2", "1", "4", "--width", "1e-3"],
     ["integrate", "poly:6x-x^2", "0", "6", "--width", "1e-3"],
     ["integrate", "gallery:step5", "0", "5"],
