@@ -257,24 +257,18 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
 
 def _series_from_flags(family: str, args) -> series.SeriesHandle:
     name = family.replace("-", "_")
-    if name == "p_series":
-        if args.p is None:
-            raise UsageError("p-series needs --p")
-        return series.make_series("p_series", p=_fraction(args.p))
-    if name == "geometric":
-        if args.r is None:
-            raise UsageError("geometric needs --r")
-        r = _fraction(args.r)
-        a = _fraction(args.a) if args.a is not None else r
-        return series.make_series("geometric", a=a, r=r)
-    if name in ("harmonic", "alt_harmonic", "newton_gregory", "alt_inv_square",
-                "inv_square", "two_pow_over_three_pow_minus_one"):
-        return series.make_series(name)
-    if name in ("factorial_power", "exp_terms"):
-        if args.x is None:
-            raise UsageError(f"{name.replace('_', '-')} needs --x")
-        return series.make_series(name, x=_fraction(args.x))
-    raise UsageError(f"unknown series family {family!r}")
+    if name not in series._FAMILIES:
+        raise UsageError(f"unknown series family {family!r}")
+    values: dict = {}
+    for key in series._FAMILIES[name].params:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _fraction(text)
+        elif key == "a":  # --a defaults to --r, which is parsed first
+            values[key] = values["r"]
+        else:
+            raise UsageError(f"{name.replace('_', '-')} needs --{key}")
+    return series.make_series(name, **values)
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -619,6 +613,12 @@ def cmd_sample(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
+def _add_family_flags(command) -> None:
+    """One flag per series family parameter, in order of first appearance."""
+    for key in dict.fromkeys(k for spec in series._FAMILIES.values() for k in spec.params):
+        command.add_argument("--" + key)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="certreal", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -628,10 +628,7 @@ def build_parser() -> _Parser:
 
     converge = sub.add_parser("converge", help="classify a series", parents=[common])
     converge.add_argument("family")
-    converge.add_argument("--p")
-    converge.add_argument("--r")
-    converge.add_argument("--a")
-    converge.add_argument("--x")
+    _add_family_flags(converge)
     converge.add_argument("--horizon", type=int, default=128)
     converge.add_argument("--policy")
 
@@ -668,10 +665,7 @@ def build_parser() -> _Parser:
     rearrange.add_argument("--pattern")
     rearrange.add_argument("--target")
     rearrange.add_argument("--steps", type=int, default=9999)
-    rearrange.add_argument("--p")
-    rearrange.add_argument("--r")
-    rearrange.add_argument("--a")
-    rearrange.add_argument("--x")
+    _add_family_flags(rearrange)
 
     sample = sub.add_parser("sample", parents=[common], help="CSV sample grid")
     sample.add_argument("fn")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
-from typing import Callable, Optional, Union
+from math import ceil, factorial, gcd
+from typing import Callable, NamedTuple, Optional, Union
 
 from certreal.core import (
     Certificate,
@@ -62,57 +62,49 @@ def _pseries_term(p: Fraction, n: int):
     return rational_power_enclosure(Fraction(n), -p, 30)
 
 
+class _Family(NamedTuple):
+    params: tuple[str, ...]
+    n0: int
+    term: Callable  # term(*params) returns n -> a_n, so a stream makes one call per term
+    registered: Optional[tuple[str, dict]] = None  # (tag, params), when not (name, params)
+    label: Optional[str] = None  # stream name, when not the family name
+
+
+# The named families of `make_series`: a_n = term(*params)(n) from n = n0.
+# The CLI has one flag per parameter name, in order of first appearance
+# here, and parses a family's flags in the order of its params.
+_FAMILIES = {
+    "p_series": _Family(("p",), 1, lambda p: lambda n: _pseries_term(p, n)),
+    "geometric": _Family(("r", "a"), 1, lambda r, a: lambda n: a * r ** (n - 1)),
+    "harmonic": _Family((), 1, lambda: lambda n: Fraction(1, n), ("p_series", {"p": Fraction(1)})),
+    "alt_harmonic": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n)),
+    "newton_gregory": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), 2 * n - 1)),
+    "exp_terms": _Family(("x",), 0, lambda x: lambda n: x**n / Fraction(factorial(n))),
+    "factorial_power": _Family(("x",), 0, lambda x: lambda n: Fraction(factorial(n)) * x**n),
+    "two_pow_over_three_pow_minus_one": _Family(
+        (), 1, lambda: lambda n: Fraction(2**n, 3**n - 1), label="2^n/(3^n-1)"),
+    "inv_square": _Family((), 1, lambda: lambda n: Fraction(1, n * n),
+                          ("p_series", {"p": Fraction(2)})),
+    "alt_inv_square": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n * n)),
+}
+
+
 def make_series(family: str, **params) -> SeriesHandle:
-    """Named series families with exact rational terms where possible.
-
-    geometric(a, r): a * r**(n-1) from n=1; p_series(p): n**-p (enclosure
-    terms when p is not an integer); harmonic; alt_harmonic; newton_gregory:
-    (-1)**(n-1)/(2n-1); exp_terms(x): x**n/n! from n=0; factorial_power(x):
-    n! * x**n from n=0; two_pow_over_three_pow_minus_one; alt_inv_square;
-    inv_square; custom(gen, n0).
-    """
-    if family == "geometric":
-        a, r = to_rational(params["a"]), to_rational(params["r"])
-        stream = TermStream(lambda n: a * r ** (n - 1), 1, f"geometric(a={a},r={r})")
-        return SeriesHandle(stream, "geometric", {"a": a, "r": r})
-    if family == "p_series":
-        p = to_rational(params["p"])
-        stream = TermStream(lambda n: _pseries_term(p, n), 1, f"p_series(p={p})")
-        return SeriesHandle(stream, "p_series", {"p": p})
-    if family == "harmonic":
-        stream = TermStream(lambda n: Fraction(1, n), 1, "harmonic")
-        return SeriesHandle(stream, "p_series", {"p": Fraction(1)})
-    if family == "alt_harmonic":
-        stream = TermStream(lambda n: Fraction((-1) ** (n - 1), n), 1, "alt_harmonic")
-        return SeriesHandle(stream, "alt_harmonic", {})
-    if family == "newton_gregory":
-        stream = TermStream(lambda n: Fraction((-1) ** (n - 1), 2 * n - 1), 1, "newton_gregory")
-        return SeriesHandle(stream, "newton_gregory", {})
-    if family == "exp_terms":
-        x = to_rational(params["x"])
-        from math import factorial
-
-        stream = TermStream(lambda n: x**n / Fraction(factorial(n)), 0, f"exp_terms(x={x})")
-        return SeriesHandle(stream, "exp_terms", {"x": x})
-    if family == "factorial_power":
-        x = to_rational(params["x"])
-        from math import factorial
-
-        stream = TermStream(lambda n: Fraction(factorial(n)) * x**n, 0, f"factorial_power(x={x})")
-        return SeriesHandle(stream, "factorial_power", {"x": x})
-    if family == "two_pow_over_three_pow_minus_one":
-        stream = TermStream(lambda n: Fraction(2**n, 3**n - 1), 1, "2^n/(3^n-1)")
-        return SeriesHandle(stream, "two_pow_over_three_pow_minus_one", {})
-    if family == "inv_square":
-        stream = TermStream(lambda n: Fraction(1, n * n), 1, "inv_square")
-        return SeriesHandle(stream, "p_series", {"p": Fraction(2)})
-    if family == "alt_inv_square":
-        stream = TermStream(lambda n: Fraction((-1) ** (n - 1), n * n), 1, "alt_inv_square")
-        return SeriesHandle(stream, "alt_inv_square", {})
+    """A series of a named family of `_FAMILIES` (p_series terms are
+    enclosures when p is not an integer), or custom(gen, n0, name)."""
     if family == "custom":
         stream = TermStream(params["gen"], params.get("n0", 1), params.get("name", "custom"))
         return SeriesHandle(stream, None, {})
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    spec = _FAMILIES[family]
+    values = {key: to_rational(params[key]) for key in spec.params}
+    name = spec.label or family
+    if values:  # parameters appear in the stream name in alphabetical order
+        name += "(" + ",".join(f"{key}={values[key]}" for key in sorted(values)) + ")"
+    stream = TermStream(spec.term(*values.values()), spec.n0, name)
+    tag, tag_params = spec.registered or (family, values)
+    return SeriesHandle(stream, tag, dict(tag_params))
 
 
 # --- individual tests ------------------------------------------------------
@@ -262,13 +254,17 @@ def _test_alternating(s: SeriesHandle, horizon: int, ctx: dict):
     return Verdict(Status.CONVERGES, cert, enclosure), "fired"
 
 
-def _certify_window(
-    test: str,
-    window: Enclosure,
-    delta: Fraction,
-    trend: str,
-    extra: dict,
-):
+def _certify_window(test: str, scan_range: tuple[int, int], values_lo: list[Fraction],
+                    values_hi: list[Fraction], delta: Fraction):
+    """(verdict, note) for the scanned window [min values_lo, max values_hi]."""
+    window = Enclosure(min(values_lo), max(values_hi))
+    half = len(values_hi) // 2
+    if half and max(values_hi[half:]) > max(values_hi[:half]):
+        trend = "rising"
+    elif half and min(values_lo[half:]) < min(values_lo[:half]):
+        trend = "falling"
+    else:
+        trend = "flat"
     # The trend guard refuses certification when the scanned values drift
     # toward 1: a window below 1 - delta proves nothing about the limsup if
     # the values are still climbing (the harmonic series is the cautionary
@@ -278,57 +274,31 @@ def _certify_window(
     elif window.lo >= 1 + delta and trend != "falling":
         status, detail = Status.DIVERGES, "window entirely above 1 + delta"
     else:
-        return None
+        return None, f"{test} window {window} not decisive (trend {trend})"
     cert = Certificate(
         test,
-        {"window": window, "delta": delta, "trend": trend, **extra},
+        {"window": window, "delta": delta, "trend": trend, "scan_range": scan_range},
         asserted=(f"{test} values stay inside the scanned window beyond the horizon",),
         detail=detail,
     )
-    return Verdict(status, cert)
-
-
-def _split_trend(values_lo: list[Fraction], values_hi: list[Fraction]) -> str:
-    half = len(values_hi) // 2
-    if half == 0:
-        return "flat"
-    if max(values_hi[half:]) > max(values_hi[:half]):
-        return "rising"
-    if min(values_lo[half:]) < min(values_lo[:half]):
-        return "falling"
-    return "flat"
+    return Verdict(status, cert), "fired"
 
 
 def _test_ratio(s: SeriesHandle, horizon: int, ctx: dict):
     try:
-        scan = ratio_root_scan(s, horizon, want_root=False)
+        scan_range, ratios = _ratio_scan(s, horizon)
     except (ZeroDivisionError, ValueError) as exc:
         return None, f"ratio scan failed: {exc}"
-    window = scan["ratio_window"]
-    values = scan["ratio_values"]
-    trend = _split_trend(values, values)
-    verdict = _certify_window(
-        "ratio", window, ctx["delta"], trend, {"scan_range": scan["scan_range"]}
-    )
-    if verdict is not None:
-        return verdict, "fired"
-    return None, f"ratio window {window} not decisive (trend {trend})"
+    return _certify_window("ratio", scan_range, ratios, ratios, ctx["delta"])
 
 
 def _test_root(s: SeriesHandle, horizon: int, ctx: dict):
     try:
-        scan = ratio_root_scan(s, horizon, want_ratio=False)
+        scan_range, brackets = _root_scan(s, horizon, 12)
     except ValueError as exc:
         return None, f"root scan failed: {exc}"
-    window = scan["root_window"]
-    brackets = scan["root_values"]
-    trend = _split_trend([b.lo for b in brackets], [b.hi for b in brackets])
-    verdict = _certify_window(
-        "root", window, ctx["delta"], trend, {"scan_range": scan["scan_range"]}
-    )
-    if verdict is not None:
-        return verdict, "fired"
-    return None, f"root window {window} not decisive (trend {trend})"
+    return _certify_window("root", scan_range, [b.lo for b in brackets],
+                           [b.hi for b in brackets], ctx["delta"])
 
 
 def _test_comparison(s: SeriesHandle, horizon: int, ctx: dict):
@@ -368,8 +338,8 @@ def _test_limit_comparison(s: SeriesHandle, horizon: int, ctx: dict):
     ratios = []
     for n in range(lo_idx, horizon + 1):
         ours, theirs = s.term(n), partner.term(n)
-        if not isinstance(ours, Fraction) or not isinstance(theirs, Fraction) or theirs == 0:
-            return None, "limit comparison needs exact nonzero partner terms"
+        if not isinstance(ours, Fraction) or not isinstance(theirs, Fraction) or theirs <= 0:
+            return None, "limit comparison needs exact positive partner terms"
         ratios.append(abs(ours) / theirs)
     window = Enclosure(min(ratios), max(ratios))
     if partner_verdict.status is Status.CONVERGES:
@@ -590,54 +560,68 @@ def _signed_sum(nums, dens, lo: int, hi: int) -> tuple[int, int]:
     return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
 
 
-def ratio_root_scan(
-    s: SeriesHandle,
-    horizon: int,
-    digits: int = 12,
-    want_ratio: bool = True,
-    want_root: bool = True,
-) -> dict:
+def _scan_range(s: SeriesHandle, horizon: int) -> tuple[int, int]:
+    """The back half [horizon/2, horizon] of the horizon, from the first index on."""
+    lo = max(s.n0, horizon // 2)
+    if horizon <= lo:
+        raise ValueError("horizon too small for a scan window")
+    return lo, horizon
+
+
+def _ratio_scan(s: SeriesHandle, horizon: int) -> tuple[tuple[int, int], list[Fraction]]:
+    """(scan range, exact |a_(n+1)/a_n| for n from its start up to horizon - 1).
+
+    A zero term raises ZeroDivisionError with its index; a term that is not
+    an exact rational raises ValueError.
+    """
+    lo, hi = _scan_range(s, horizon)
+    ratios = []
+    for n in range(lo, hi):
+        a_n, a_next = s.term(n), s.term(n + 1)
+        if not isinstance(a_n, Fraction) or not isinstance(a_next, Fraction):
+            raise ValueError("ratio scan needs exact rational terms")
+        if a_n == 0:
+            raise ZeroDivisionError(f"zero term at index {n} in ratio scan")
+        ratios.append(abs(a_next / a_n))
+    return (lo, hi), ratios
+
+
+def _root_scan(s: SeriesHandle, horizon: int,
+               digits: int) -> tuple[tuple[int, int], list[Enclosure]]:
+    """(scan range, an enclosure of |a_n|**(1/n) at `digits` for each n >= 1
+    in it).  A term that is not an exact rational raises ValueError."""
+    lo, hi = _scan_range(s, horizon)
+    brackets = []
+    for n in range(max(lo, 1), hi + 1):
+        a_n = s.term(n)
+        if not isinstance(a_n, Fraction):
+            raise ValueError("root scan needs exact rational terms")
+        # huge-denominator terms are outward-rounded first: the root
+        # bracket stays sound and the integer root stays affordable
+        lo_r, hi_r = outward_round(abs(a_n), 40)
+        brackets.append(Enclosure(
+            nth_root_enclosure(lo_r, n, digits).lo,
+            nth_root_enclosure(hi_r, n, digits).hi,
+        ))
+    return (lo, hi), brackets
+
+
+def ratio_root_scan(s: SeriesHandle, horizon: int, digits: int = 12) -> dict:
     """Exact min/max of |a_{n+1}/a_n| and enclosure window of |a_n|**(1/n)
     over the back half of the horizon [horizon/2, horizon].
 
     These are windows, not limits; certification is the caller's business
-    (see `classify`).  A zero term in ratio mode is reported with its index.
+    (see `classify`).  A zero term in the ratio scan is reported with its index.
     """
-    lo = max(s.n0, horizon // 2)
-    if horizon <= lo:
-        raise ValueError("horizon too small for a scan window")
-    out: dict = {"scan_range": (lo, horizon)}
-    if want_ratio:
-        ratios = []
-        for n in range(lo, horizon):
-            a_n, a_next = s.term(n), s.term(n + 1)
-            if not isinstance(a_n, Fraction) or not isinstance(a_next, Fraction):
-                raise ValueError("ratio scan needs exact rational terms")
-            if a_n == 0:
-                raise ZeroDivisionError(f"zero term at index {n} in ratio scan")
-            ratios.append(abs(a_next / a_n))
-        out["ratio_window"] = Enclosure(min(ratios), max(ratios))
-        out["ratio_values"] = ratios
-    if want_root:
-        brackets = []
-        for n in range(max(lo, 1), horizon + 1):
-            a_n = s.term(n)
-            if not isinstance(a_n, Fraction):
-                raise ValueError("root scan needs exact rational terms")
-            # huge-denominator terms are outward-rounded first: the root
-            # bracket stays sound and the integer root stays affordable
-            lo_r, hi_r = outward_round(abs(a_n), 40)
-            bracket = Enclosure(
-                nth_root_enclosure(lo_r, n, digits).lo,
-                nth_root_enclosure(hi_r, n, digits).hi,
-            )
-            brackets.append(bracket)
-        window = brackets[0]
-        for b in brackets[1:]:
-            window = window.hull(b)
-        out["root_window"] = window
-        out["root_values"] = brackets
-    return out
+    scan_range, ratios = _ratio_scan(s, horizon)
+    _, brackets = _root_scan(s, horizon, digits)
+    return {
+        "scan_range": scan_range,
+        "ratio_window": Enclosure(min(ratios), max(ratios)),
+        "ratio_values": ratios,
+        "root_window": Enclosure(min(b.lo for b in brackets), max(b.hi for b in brackets)),
+        "root_values": brackets,
+    }
 
 
 # --- rearrangement ----------------------------------------------------------
@@ -669,12 +653,40 @@ def _sign_class_iter(s: SeriesHandle, want_nonnegative: bool, scan_cap: int):
         v = s.term(n)
         if not isinstance(v, Fraction):
             raise ValueError("rearrangement needs exact rational terms")
-        if (v >= 0) == want_nonnegative:
+        if (v.numerator >= 0) == want_nonnegative:  # an int compare; a Fraction one costs 4x
             yield n, v
         n += 1
     raise SignClassExhausted(
         f"{'nonnegative' if want_nonnegative else 'negative'} terms exhausted by index {scan_cap}"
     )
+
+
+def _rearrange(s: SeriesHandle, steps: int, scan_cap: Optional[int],
+               positive_next: Callable[[int, int, Fraction, Fraction], bool]):
+    """(indices, partial sums) of `steps` terms of s, each drawn in index
+    order from the nonnegative or from the negative terms.
+
+    The first term is nonnegative.  After step k (from 1), which drew term
+    a_idx and reached partial sum total, positive_next(k, idx, a_idx, total)
+    says whether the next term is nonnegative.  A sign class with no term
+    left by index scan_cap (default n0 + 100 * steps) raises
+    SignClassExhausted.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    cap = scan_cap if scan_cap is not None else s.n0 + 100 * steps
+    classes = (_sign_class_iter(s, False, cap), _sign_class_iter(s, True, cap))
+    indices: list[int] = []
+    sums: list[Fraction] = []
+    total = Fraction(0)
+    positive = True
+    for step in range(1, steps + 1):
+        idx, term = next(classes[positive])
+        total += term
+        indices.append(idx)
+        sums.append(total)
+        positive = positive_next(step, idx, term, total)
+    return tuple(indices), tuple(sums)
 
 
 def rearrange_riemann(
@@ -695,27 +707,18 @@ def rearrange_riemann(
     within the scan cap).
     """
     target = to_rational(target)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cap = scan_cap if scan_cap is not None else s.n0 + 100 * steps
-    positives = _sign_class_iter(s, True, cap)
-    negatives = _sign_class_iter(s, False, cap)
-    indices: list[int] = []
-    sums: list[Fraction] = []
     flips: list[FlipRecord] = []
-    total = Fraction(0)
-    taking_positive = True
-    for step in range(1, steps + 1):
-        source = positives if taking_positive else negatives
-        idx, term = next(source)
-        total += term
-        indices.append(idx)
-        sums.append(total)
-        crossed = total > target if taking_positive else total < target
-        if crossed:
+    positive = True
+
+    def positive_next(step: int, idx: int, term: Fraction, total: Fraction) -> bool:
+        nonlocal positive
+        if total > target if positive else total < target:
             flips.append(FlipRecord(step, idx, term, total, abs(total - target)))
-            taking_positive = not taking_positive
-    return RearrangeResult(tuple(indices), tuple(sums), tuple(flips), target)
+            positive = not positive
+        return positive
+
+    indices, sums = _rearrange(s, steps, scan_cap, positive_next)
+    return RearrangeResult(indices, sums, tuple(flips), target)
 
 
 def rearrange_pattern(s: SeriesHandle, p: int, q: int, steps: int,
@@ -723,23 +726,8 @@ def rearrange_pattern(s: SeriesHandle, p: int, q: int, steps: int,
     """Fixed-pattern rearrangement: p nonnegative terms, then q negative, cyclically."""
     if p < 1 or q < 1:
         raise ValueError("pattern counts must be >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cap = scan_cap if scan_cap is not None else s.n0 + 100 * steps
-    positives = _sign_class_iter(s, True, cap)
-    negatives = _sign_class_iter(s, False, cap)
-    indices: list[int] = []
-    sums: list[Fraction] = []
-    total = Fraction(0)
-    position = 0
-    while len(indices) < steps:
-        take_pos = position % (p + q) < p
-        idx, term = next(positives if take_pos else negatives)
-        total += term
-        indices.append(idx)
-        sums.append(total)
-        position += 1
-    return RearrangeResult(tuple(indices), tuple(sums), tuple())
+    indices, sums = _rearrange(s, steps, scan_cap, lambda step, *_: step % (p + q) < p)
+    return RearrangeResult(indices, sums, tuple())
 
 
 # --- infinite products -------------------------------------------------------
@@ -756,7 +744,6 @@ class ProductHandle:
     factors: Optional[TermStream]
     zero_indices: tuple[int, ...] = ()
     family: Optional[str] = None
-    params: dict = field(default_factory=dict)
     # Registered: ('one_plus' | 'one_minus', deltas handle) meaning u_n = 1 +/- a_n.
     delta_form: Optional[tuple[str, SeriesHandle]] = None
     closed_partial: Optional[Callable[[int], Union[Fraction, Enclosure]]] = None
@@ -780,57 +767,38 @@ class ProductHandle:
         return total
 
 
-def make_product(family: str, **params) -> ProductHandle:
-    """Registered product families.
+def _delta_product(family: str, form: str, deltas: SeriesHandle,
+                   closed_partial=None, limit_enclosure=None) -> ProductHandle:
+    """The product of the factors u_n = 1 + a_n (form 'one_plus') or
+    1 - a_n ('one_minus'), built from the series `deltas` of the a_n."""
+    sign = 1 if form == "one_plus" else -1
+    factors = TermStream(lambda n: 1 + sign * deltas.term(n), deltas.n0,
+                         f"1 {'+' if sign > 0 else '-'} {deltas.terms.name}")
+    return ProductHandle(factors, family=family, delta_form=(form, deltas),
+                         closed_partial=closed_partial, limit_enclosure=limit_enclosure)
 
-    one_minus_inv_sq (from n=2): prod (1 - 1/n^2); one_plus_inv:
-    prod (1 + 1/n); one_minus_inv (from n=2); one_plus(deltas=SeriesHandle);
-    one_minus(deltas); one_plus_inv_exp: prod (1 + 1/n) e^(-1/n).
-    """
-    if family == "one_minus_inv_sq":
-        start = params.get("start", 2)
-        stream = TermStream(lambda n: 1 - Fraction(1, n * n), start, "1 - 1/n^2")
-        deltas = SeriesHandle(
-            TermStream(lambda n: Fraction(1, n * n), start, "1/n^2"), "p_series", {"p": Fraction(2)}
-        )
-        return ProductHandle(
-            stream,
-            family="one_minus_inv_sq",
-            params={"start": start},
-            delta_form=("one_minus", deltas),
-            closed_partial=lambda n: Fraction(n + 1, 2 * n),
-            limit_enclosure=lambda digits: Enclosure.point(Fraction(1, 2)),
-        )
-    if family == "one_plus_inv":
-        stream = TermStream(lambda n: 1 + Fraction(1, n), 1, "1 + 1/n")
-        deltas = SeriesHandle(
-            TermStream(lambda n: Fraction(1, n), 1, "1/n"), "p_series", {"p": Fraction(1)}
-        )
-        return ProductHandle(
-            stream,
-            family="one_plus_inv",
-            delta_form=("one_plus", deltas),
-            closed_partial=lambda n: Fraction(n + 1),
-        )
-    if family == "one_minus_inv":
-        stream = TermStream(lambda n: 1 - Fraction(1, n), 2, "1 - 1/n")
-        deltas = SeriesHandle(
-            TermStream(lambda n: Fraction(1, n), 2, "1/n"), "p_series", {"p": Fraction(1)}
-        )
-        return ProductHandle(
-            stream,
-            family="one_minus_inv",
-            delta_form=("one_minus", deltas),
-            closed_partial=lambda n: Fraction(1, n),
-        )
-    if family == "one_plus":
-        deltas = params["deltas"]
-        stream = TermStream(lambda n: 1 + deltas.term(n), deltas.n0, "1 + a_n")
-        return ProductHandle(stream, family="one_plus", delta_form=("one_plus", deltas))
-    if family == "one_minus":
-        deltas = params["deltas"]
-        stream = TermStream(lambda n: 1 - deltas.term(n), deltas.n0, "1 - a_n")
-        return ProductHandle(stream, family="one_minus", delta_form=("one_minus", deltas))
+
+# The fixed delta products, a_n = 1/n^p: family -> (form, first n, p,
+# closed partial product over [first n, n], limit or None).
+_DELTA_PRODUCTS = {
+    "one_minus_inv_sq": ("one_minus", 2, 2, lambda n: Fraction(n + 1, 2 * n), Fraction(1, 2)),
+    "one_plus_inv": ("one_plus", 1, 1, lambda n: Fraction(n + 1), None),
+    "one_minus_inv": ("one_minus", 2, 1, lambda n: Fraction(1, n), None),
+}
+
+
+def make_product(family: str, **params) -> ProductHandle:
+    """A product family: one of `_DELTA_PRODUCTS`, one_plus(deltas=SeriesHandle)
+    or one_minus(deltas), or one_plus_inv_exp: prod (1 + 1/n) e^(-1/n)."""
+    if family in _DELTA_PRODUCTS:
+        form, n0, p, closed, limit = _DELTA_PRODUCTS[family]
+        name = "1/n" if p == 1 else f"1/n^{p}"
+        deltas = SeriesHandle(TermStream(lambda n: Fraction(1, n**p), n0, name),
+                              "p_series", {"p": Fraction(p)})
+        return _delta_product(family, form, deltas, closed,
+                              None if limit is None else lambda digits: Enclosure.point(limit))
+    if family in ("one_plus", "one_minus"):
+        return _delta_product(family, family, params["deltas"])
     if family == "one_plus_inv_exp":
         # Factors (1 + 1/n) e^{-1/n} are irrational; the exact closed-form
         # partial product (n+1) e^{-H_n} is exposed as an enclosure.
@@ -841,11 +809,7 @@ def make_product(family: str, **params) -> ProductHandle:
             e_neg = ps.exp_enclosure_over(-harmonic, 25)
             return e_neg.scale(n + 1)
 
-        return ProductHandle(
-            None,
-            family="one_plus_inv_exp",
-            closed_partial=closed,
-        )
+        return ProductHandle(None, family=family, closed_partial=closed)
     raise ValueError(f"unknown product family {family!r}")
 
 

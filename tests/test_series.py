@@ -361,6 +361,31 @@ def test_product_partial_identities():
     grows = make_product("one_plus_inv")
     for n in (1, 7, 30):
         assert grows.partial_product(n) == n + 1
+    shrinks = make_product("one_minus_inv")
+    for n in (2, 5, 10, 50):
+        assert shrinks.partial_product(n) == F(1, n)
+    deltas = make_series("geometric", a=F(1, 3), r=F(1, 3))
+    for form, sign in (("one_plus", 1), ("one_minus", -1)):
+        factors = make_product(form, deltas=deltas).factors
+        assert factors.n0 == deltas.n0
+        for n in range(1, 6):
+            assert factors.term(n) == 1 + sign * F(1, 3**n)
+
+
+def test_limit_comparison_needs_positive_partner_terms():
+    # a negative b_n makes |a_n|/b_n negative, which bounds nothing
+    converges = classify(make_series("inv_square"), ("p_series",), 64)
+    negative = make_series("custom", gen=lambda n: F(-1, n * n), name="-1/n^2")
+    verdict = classify(make_series("harmonic"), ("limit_comparison",), 64,
+                       partner=negative, partner_verdict=converges)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.trace == (("limit_comparison",
+                              "limit comparison needs exact positive partner terms"),)
+    positive = make_series("custom", gen=lambda n: F(1, n * n), name="1/n^2")
+    verdict = classify(make_series("alt_inv_square"), ("limit_comparison",), 64,
+                       partner=positive, partner_verdict=converges)
+    assert verdict.status is Status.CONVERGES
+    assert verdict.certificate.witnesses["ratio_window"] == Enclosure.point(1)
 
 
 def test_product_verdicts():
