@@ -72,12 +72,16 @@ def make_fn_sequence(family: str, **params) -> FnSequence:
         digits = int(params.get("digits", 12))
 
         def gen(n: int) -> FnDescriptor:
-            from certreal.powerseries import exp_enclosure
+            def eval_grid(p: int, q: int, d: int) -> tuple[int, int]:
+                from certreal.powerseries import _exp_negative_grid
 
-            def eval_enc(x: Fraction, d: int) -> Enclosure:
-                return exp_enclosure(-n * x * x, d).times(Enclosure.point(x))
+                if p == 0:
+                    return 0, 0
+                a, b = n * p * p, q * q  # x e^(-a/b) at x = p/q
+                g = gcd(a, b)
+                return _exp_negative_grid(a // g, b // g, d, p, q)
 
-            return FnDescriptor(name=f"x*e^(-{n}x^2)", eval_enc=eval_enc)
+            return FnDescriptor(name=f"x*e^(-{n}x^2)", eval_grid=eval_grid)
 
         def deviation(n: int) -> Enclosure:
             from certreal.powerseries import exp_enclosure
@@ -274,16 +278,21 @@ def gallery(name: str, **params) -> FnDescriptor:
             ),
         )
     if name == "flat_bump":
-        def bump_eval(x: Fraction, d: int) -> Enclosure:
-            from certreal.powerseries import exp_enclosure
+        def bump_grid(n: int, m: int, d: int) -> tuple[int, int]:
+            from certreal.powerseries import _exp_negative_grid
 
-            if x == 0:
-                return Enclosure.point(0)
-            return exp_enclosure(-1 / (x * x), d)
+            if n == 0:
+                return 0, 0
+            # e^(-a/b) with a/b = m^2/n^2 in lowest terms, bracketed from
+            # integers alone: [0, 2^-s] once e^(-a/b) <= 2^-s <= 10^-d, else
+            # [G/H, D/N] from N/D <= e^(a/b) <= H/G, no wider than the
+            # direct bracket as e^(a/b) >= 1.  So hi - lo <= 2 on the grid.
+            g = gcd(n, m)
+            return _exp_negative_grid((m // g) ** 2, (n // g) ** 2, d)
 
         return FnDescriptor(
             name="flat_bump",
-            eval_enc=bump_eval,
+            eval_grid=bump_grid,
             monotone_pieces=((None, Fraction(0), "decreasing"), (Fraction(0), None, "increasing")),
             bound=Fraction(1),
         )
@@ -293,7 +302,7 @@ def gallery(name: str, **params) -> FnDescriptor:
             raise ValueError("need a < b")
 
         def step_grid(n: int, m: int, d: int) -> tuple[int, int]:
-            from certreal.powerseries import _exp_negative_shift, _exp_series
+            from certreal.powerseries import _exp_negative
 
             scale = 10**d
             # x = n/m against a = an/ad and b = bn/bd, in integers:
@@ -307,25 +316,19 @@ def gallery(name: str, **params) -> FnDescriptor:
             # written through e^-|q| in (0, 1] so that no exp argument is
             # large and positive.  The larger of the value and its
             # complement is 1/(1 + e^-|q|) in [1/2, 1], bracketed from
-            # integers alone: e^-|q| <= 1/p gives [p/(p+1), 1], and
-            # N/D <= e^|q| <= H/G gives [N/(N+D), H/(H+G)].  Each end is
-            # rounded outward once onto the 10^-d grid, so the results keep
-            # O(d) bits however large N, D, H and G grow.
+            # integers alone: L/M <= e^-|q| <= U/V gives [V/(V+U), M/(M+L)].
+            # Each end is rounded outward once onto the 10^-d grid, so the
+            # results keep O(d) bits however large L, M, U and V grow.
             #
-            # Width: 1/(p+1) < 1/p <= 10^-d, and E |-> E/(E+1) has slope
-            # 1/(E+1)^2 <= 1/4 on E >= 1 while H/G - N/D <= 10^-d, so the
-            # exact bracket is at most 10^-d wide, and hi - lo <= 2.
+            # Width: E |-> 1/(1+E) has slope -1/(1+E)^2, at most 1 in size
+            # on E >= 0, while U/V - L/M <= 10^-d, so the exact bracket is
+            # at most 10^-d wide, and hi - lo <= 2.
             # q = m (ad Q - bd P)/(P Q), reduced by one gcd.
             q_num, q_den = m * (a.denominator * big_q - b.denominator * big_p), big_p * big_q
             g = gcd(q_num, q_den)
             q_num, q_den = q_num // g, q_den // g
-            shift = _exp_negative_shift(abs(q_num), q_den, d)
-            if shift is not None:
-                lo_num, lo_den, hi_num, hi_den = 1 << shift, (1 << shift) + 1, 1, 1
-            else:
-                lo_num, lo_den, hi_num, hi_den = _exp_series(abs(q_num), q_den, d)
-                lo_den += lo_num
-                hi_den += hi_num
+            e_lo, e_lo_den, e_hi, e_hi_den = _exp_negative(abs(q_num), q_den, d)
+            lo_num, lo_den, hi_num, hi_den = e_hi_den, e_hi_den + e_hi, e_lo_den, e_lo_den + e_lo
             if q_num > 0:  # the complement 1 - larger
                 lo_num, lo_den, hi_num, hi_den = hi_den - hi_num, hi_den, lo_den - lo_num, lo_den
             return lo_num * scale // lo_den, -(-hi_num * scale // hi_den)

@@ -31,8 +31,10 @@ from certreal.core import (
     FnDescriptor,
     MissingMetadataError,
     Status,
+    _ceil_log10,
     _decimal,
     _grid,
+    _grid_ends,
     _poly_table,
     _table_rows,
     decimal_string,
@@ -217,8 +219,11 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
     if exponent.denominator == 1:
         p = int(exponent)
         if p == -1:
-            anti = FnDescriptor(name="ln|x|",
-                                eval_enc=lambda x, d: powerseries.ln_enclosure(abs(x), d))
+            def ln_grid(n: int, m: int, d: int) -> tuple[int, int]:
+                enc = powerseries.ln_enclosure(Fraction(abs(n), m), d)
+                return _grid_ends(enc.lo, enc.hi, 10**d)
+
+            anti = FnDescriptor(name="ln|x|", eval_grid=ln_grid)
         else:
             n = p + 1
             anti = FnDescriptor(name=f"x^{n}/{n}", eval_rat=lambda x: x**n / n)
@@ -235,10 +240,14 @@ def _power_function(exponent: Fraction) -> FnDescriptor:
             singular=singular,
         )
 
+    # x^p and x^c/c keep enclosure oracles: a grid oracle cannot return an
+    # exact value off the grid, such as 4^(3/2)/(3/2) = 16/3.
     next_e = exponent + 1
+    # x^c/c at 10^-d needs x^c at 10^-(d+k), with 10^k >= |1/c|
+    extra = _ceil_log10(-(-next_e.denominator // abs(next_e.numerator)))
 
     def anti_eval(x: Fraction, d: int) -> Enclosure:
-        return rational_power_enclosure(x, next_e, d).scale(1 / next_e)
+        return rational_power_enclosure(x, next_e, d + extra).scale(1 / next_e)
 
     def eval_enc(x: Fraction, d: int) -> Enclosure:
         if x < 0 or (x == 0 and exponent < 0):

@@ -252,7 +252,10 @@ class FnDescriptor:
     returns integers (lo, hi) with lo 10**-d <= f(n/m) <= hi 10**-d, the
     floor and ceil of a bracket at most 10**-d wide (so hi - lo <= 2), for
     an oracle that computes on the decimal grid anyway: it takes and gives
-    integers, and the Darboux point loop builds no Fraction for it.
+    integers, and the Darboux point loop builds no Fraction for it.  The
+    library's grid oracles are gallery flat_bump and smooth_step, the
+    members of make_fn_sequence("xexp"), and ln|x|, the CLI's
+    antiderivative of x^-1.
     `enclosure_at(x, digits)` asks a grid oracle at digits + 1, which keeps
     its width below 3 10**-(digits+1) < 10**-digits.  At least one must be
     present unless the descriptor is darboux-only (e.g. the
@@ -636,6 +639,12 @@ def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fra
     magnitude = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
     shift = significant - magnitude
     return _round_out(x, x, 10**shift if shift >= 0 else Fraction(1, 10**-shift))
+
+
+def _ceil_log10(c: int) -> int:
+    """The least k >= 0 with 10^k >= c: asking an oracle for k more digits
+    keeps its width below 10^-digits after a scaling by at most c."""
+    return len(str(c - 1)) if c > 1 else 0
 
 
 def _grid_ends(lo: Fraction, hi: Fraction, scale: Fraction | int) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from certreal.core import (
     Enclosure,
     RationalLike,
+    _ceil_log10,
     _poly_eval,
     sqrt_enclosure,
     to_rational,
@@ -97,20 +98,43 @@ def _exp_negative_shift(a: int, b: int, digits: int) -> Optional[int]:
     return None
 
 
+def _exp_negative(a: int, b: int, digits: int) -> tuple[int, int, int, int]:
+    """(L, M, U, V) with L/M <= e^(-a/b) <= U/V and U/V - L/M <= 10^-digits,
+    for integers a > 0 < b; the fractions are not reduced."""
+    shift = _exp_negative_shift(a, b, digits)
+    if shift is not None:
+        return 0, 1, 1, 1 << shift
+    # e^(-a/b) = 1/e^(a/b) in [G/H, D/N] from N/D <= e^(a/b) <= H/G.  Both
+    # ends are at most 1, so D/N - G/H = (H/G - N/D)(D/N)(G/H) <= 10^-digits.
+    num, den, hi_num, hi_den = _exp_series(a, b, digits)
+    return hi_den, hi_num, den, num
+
+
+def _exp_negative_grid(a: int, b: int, digits: int, p: int = 1, q: int = 1) -> tuple[int, int]:
+    """Integers (lo, hi) with lo 10^-digits <= (p/q) e^(-a/b) <= hi 10^-digits
+    and hi - lo <= 2, for integers a > 0 < b and q > 0.
+
+    e^(-a/b) is bracketed at 10^-(digits+k) with 10^k >= |p/q|, so the
+    product bracket is at most 10^-digits wide (its ends swap for p < 0),
+    and each end is rounded outward once onto the grid.
+    """
+    lo_num, lo_den, hi_num, hi_den = _exp_negative(a, b, digits + _ceil_log10(-(-abs(p) // q)))
+    if p < 0:
+        lo_num, lo_den, hi_num, hi_den = hi_num, hi_den, lo_num, lo_den
+    scale = 10**digits * p
+    return lo_num * scale // (lo_den * q), -(-hi_num * scale // (hi_den * q))
+
+
 def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     """Enclosure of e**q of width <= 10**-digits."""
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(1)
     if q < 0:
-        shift = _exp_negative_shift(-q.numerator, q.denominator, digits)
-        if shift is not None:
-            return Enclosure(Fraction(0), Fraction(1, 1 << shift))
-    num, den, hi_num, hi_den = _exp_series(abs(q.numerator), q.denominator, digits)
-    enc = Enclosure(Fraction(num, den), Fraction(hi_num, hi_den))
-    # exp(q) = 1 / exp(-q); exp(-q) >= 1, so the reciprocal width is no
-    # larger than the direct width.
-    return enc if q > 0 else enc.reciprocal()
+        lo_num, lo_den, hi_num, hi_den = _exp_negative(-q.numerator, q.denominator, digits)
+    else:
+        lo_num, lo_den, hi_num, hi_den = _exp_series(q.numerator, q.denominator, digits)
+    return Enclosure(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
 
 
 def exp_enclosure_over(x: Enclosure, digits: int = 12) -> Enclosure:

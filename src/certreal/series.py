@@ -334,7 +334,9 @@ def _test_limit_comparison(s: SeriesHandle, horizon: int, ctx: dict):
     partner, partner_verdict = ctx["partner"], ctx["partner_verdict"]
     if partner is None or partner_verdict is None:
         return None, "no comparison partner supplied"
-    lo_idx = max(s.n0, horizon // 2)
+    lo_idx = max(s.n0, partner.n0, horizon // 2)
+    if lo_idx > horizon:
+        return None, f"partner starts at {partner.n0}, past the horizon {horizon}"
     ratios = []
     for n in range(lo_idx, horizon + 1):
         ours, theirs = s.term(n), partner.term(n)
@@ -734,15 +736,13 @@ def rearrange_pattern(s: SeriesHandle, p: int, q: int, steps: int,
 
 @dataclass
 class ProductHandle:
-    """Infinite product of factors u_n with finitely many zeros.
+    """Infinite product of factors u_n from `start` on.
 
-    Partial products past max(zero_indices) are nonzero.  Registered
-    structure (factors of the form 1 +/- a_n) and closed forms enable
-    certified verdicts and limit enclosures.
+    Registered structure (factors of the form 1 +/- a_n) and closed forms
+    enable certified verdicts and limit enclosures.
     """
 
     factors: Optional[TermStream]
-    zero_indices: tuple[int, ...] = ()
     family: Optional[str] = None
     # Registered: ('one_plus' | 'one_minus', deltas handle) meaning u_n = 1 +/- a_n.
     delta_form: Optional[tuple[str, SeriesHandle]] = None
@@ -751,8 +751,7 @@ class ProductHandle:
 
     @property
     def start(self) -> int:
-        base = self.factors.n0 if self.factors is not None else 1
-        return max([base] + [z + 1 for z in self.zero_indices])
+        return self.factors.n0 if self.factors is not None else 1
 
     def partial_product(self, n: int) -> Fraction:
         """Exact partial product over [start, n], skipping nothing."""

@@ -255,7 +255,8 @@ def test_smooth_step_grid_oracle_is_the_enclosure_oracle_times_the_scale(
 def test_smooth_step_has_only_the_grid_oracle():
     step = gallery("smooth_step", a=0, b=1)
     assert step.eval_enc is None and step.eval_rat is None and step.eval_grid is not None
-    assert gallery("flat_bump").eval_grid is None
+    bump = gallery("flat_bump")
+    assert bump.eval_enc is None and bump.eval_rat is None and bump.eval_grid is not None
 
 
 def test_sawtooth_integer_sums_equal_the_layer_sums():

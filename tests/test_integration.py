@@ -573,31 +573,37 @@ def test_unreachable_share_costs_two_oracle_calls():
 
 def test_smoothstep_point_loop_builds_no_fraction_per_point():
     # a machine-independent counter: every Fraction built while smooth_step
-    # [0, 1] is integrated to 1e-4 (k = 10,001) and to 1e-3 (k = 1,001).
+    # [0, 1] is integrated to 1e-4 (k = 10,001) and to 1e-3 (k = 1,001),
+    # and flat_bump [-1, 1], two monotone pieces, to the same widths.
     # The grid oracle takes each point as integers and returns integers, so
     # the interior points build none and both counts are the per-bracket
     # Fractions alone.  The loop built 3 per point when the oracle took and
     # returned Fractions, and 20 when the midpoints, the exp argument, the
     # outward rounding and the running sums were Fraction arithmetic
-    f = gallery("smooth_step", a=0, b=1)
-    points = []
+    cases = [
+        (gallery("smooth_step", a=0, b=1), 0, 1, 1002, 10002,
+         Enclosure(F(49999999994993, 100010000000000), F(50010000005007, 100010000000000))),
+        (gallery("flat_bump"), -1, 1, 1474, 14718,
+         Enclosure(F(7875258413, 44218750000), F(6555893801391, 36790000000000))),
+    ]
+    for f, a, b, coarse_points, fine_points, enclosure in cases:
+        points = []
 
-    def counted(n, m, digits):
-        points.append((n, m))
-        return f.eval_grid(n, m, digits)
+        def counted(n, m, digits):
+            points.append((n, m))
+            return f.eval_grid(n, m, digits)
 
-    counted_f = f.with_meta(eval_grid=counted)
-    integrate_enclosure(f, 0, 1, F(1, 10))  # the oracle's first call imports powerseries
-    with fractions_built() as coarse:
-        integrate_enclosure(counted_f, 0, 1, F(1, 10**3))
-    assert len(points) == 1002
-    points.clear()
-    with fractions_built() as built:
-        result = integrate_enclosure(counted_f, 0, 1, F(1, 10**4))
-    assert len(points) == 10002
-    assert built.count == coarse.count, (built.count, coarse.count)
-    assert result.enclosure == Enclosure(F(49999999994993, 100010000000000),
-                                         F(50010000005007, 100010000000000))
+        counted_f = f.with_meta(eval_grid=counted)
+        integrate_enclosure(f, a, b, F(1, 10))  # the oracle's first call imports powerseries
+        with fractions_built() as coarse:
+            integrate_enclosure(counted_f, a, b, F(1, 10**3))
+        assert len(points) == coarse_points
+        points.clear()
+        with fractions_built() as built:
+            result = integrate_enclosure(counted_f, a, b, F(1, 10**4))
+        assert len(points) == fine_points
+        assert built.count == coarse.count, (f.name, built.count, coarse.count)
+        assert result.enclosure == enclosure
 
 
 def _fraction_round_out(lo, hi, scale):

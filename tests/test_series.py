@@ -388,6 +388,31 @@ def test_limit_comparison_needs_positive_partner_terms():
     assert verdict.certificate.witnesses["ratio_window"] == Enclosure.point(1)
 
 
+def test_limit_comparison_reads_the_partner_from_its_start():
+    # a partner that starts after horizon // 2 is read from its own start,
+    # and one that starts past the horizon leaves the test unfired
+    converges = classify(make_series("inv_square"), ("p_series",), 64)
+    late = make_series("custom", gen=lambda n: F(2, n * n), n0=40, name="2/n^2")
+    verdict = classify(make_series("inv_square"), ("limit_comparison",), 64,
+                       partner=late, partner_verdict=converges)
+    assert verdict.status is Status.CONVERGES
+    assert verdict.certificate.witnesses["ratio_window"] == Enclosure.point(F(1, 2))
+    too_late = make_series("custom", gen=lambda n: F(2, n * n), n0=70, name="2/n^2")
+    verdict = classify(make_series("inv_square"), ("limit_comparison",), 64,
+                       partner=too_late, partner_verdict=converges)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.trace == (("limit_comparison",
+                              "partner starts at 70, past the horizon 64"),)
+
+
+def test_product_start_is_the_first_factor_index():
+    assert make_product("one_minus_inv_sq").start == 2
+    assert make_product("one_plus_inv").start == 1
+    deltas = make_series("custom", gen=lambda n: F(1, n**3), n0=5, name="1/n^3")
+    assert make_product("one_minus", deltas=deltas).start == 5
+    assert make_product("one_plus_inv_exp").start == 1  # no exact factors
+
+
 def test_product_verdicts():
     verdict = product_converges(make_product("one_minus_inv_sq"), 100)
     assert verdict.status is Status.CONVERGES
