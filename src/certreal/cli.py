@@ -504,20 +504,20 @@ def cmd_taylor(args) -> tuple[Report, int]:
         deriv_range = _pair("--deriv-range", args.deriv_range, _fraction, "rationals")
         if deriv_range[0] > deriv_range[1]:
             raise UsageError("--deriv-range needs lo <= hi")
-    poly_coeffs = None
-    tag = args.tag
+    tag, poly_coeffs, at, x = args.tag, None, _fraction(args.at), _fraction(args.x)
     if tag.startswith("poly:"):
-        poly_coeffs = parse_polynomial(tag[5:])
-        tag = "poly"
+        tag, poly_coeffs = "poly", parse_polynomial(tag[5:])
+    elif tag == "poly":
+        raise UsageError("tag 'poly' needs its polynomial: poly:<polynomial>")
+    elif tag not in powerseries._TAYLOR_BOUNDS:
+        known = ", ".join(t for t in powerseries._TAYLOR_BOUNDS if t != "poly")
+        raise UsageError(f"unknown Taylor tag {tag!r}: use {known} or poly:<polynomial>")
+    elif at != 0:
+        raise UsageError(f"tag {tag!r} ships exact coefficients at --at 0 only")
+    if abs(x - at) > radius:
+        raise UsageError(f"--x {args.x} lies farther than --radius {args.radius} from --at {args.at}")
     approximation = powerseries.taylor_poly(
-        tag,
-        _fraction(args.at),
-        args.order,
-        radius=radius,
-        deriv_range=deriv_range,
-        coeffs=poly_coeffs,
-    )
-    x = _fraction(args.x)
+        tag, at, args.order, radius=radius, deriv_range=deriv_range, coeffs=poly_coeffs)
     enclosure = powerseries.remainder_enclosure(approximation, x)
     report = Report(
         "taylor",

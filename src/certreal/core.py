@@ -93,9 +93,6 @@ class Enclosure:
             raise ValueError(f"disjoint enclosures: {self} and {other}")
         return Enclosure(lo, hi)
 
-    def hull(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def widen(self, amount: RationalLike) -> "Enclosure":
         amount = to_rational(amount)
         if amount < 0:

@@ -545,11 +545,7 @@ class Comparison:
     def tail_bound(self, big_t: Fraction, digits: int) -> Fraction:
         digits = self._power_digits(digits)
         if self.kind == "p_at_inf":
-            exponent = 1 - self.p
-            if exponent.denominator == 1:
-                power = big_t ** int(exponent)
-            else:
-                power = rational_power_enclosure(big_t, exponent, digits).hi
+            power = rational_power_enclosure(big_t, 1 - self.p, digits).hi
             return self.const * power / (self.p - 1)
         if self.kind == "exp_at_inf":
             from certreal.powerseries import exp_enclosure

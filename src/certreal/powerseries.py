@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial
 from typing import Callable, Optional
 
 from certreal.core import (
@@ -392,91 +392,75 @@ class PowerSeries:
 
     def derive(self) -> "PowerSeries":
         """Term-by-term derivative; the radius of convergence is preserved."""
-        base = self
-
         def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
-            m, r2 = base.domination(r1)  # type: ignore[misc]
+            m, r2 = self.domination(r1)  # type: ignore[misc]
             r_mid = (r1 + r2) / 2
-            scale = _geo_poly_max(r_mid / r2)
-            return m / r2 * scale, r_mid
+            return m / r2 * _geo_poly_max(r_mid / r2), r_mid
 
-        return PowerSeries(
-            lambda n: (n + 1) * base.coeff(n + 1),
-            base.center,
-            base.radius_info,
-            dom if base.domination is not None else None,
-            f"derive({base.name})" if base.name else "",
-        )
+        return _derived(lambda n: (n + 1) * self.coeff(n + 1), dom,
+                        f"derive({self.name})" if self.name else "", self)
 
     def integrate_termwise(self, constant: RationalLike = 0) -> "PowerSeries":
         """Term-by-term antiderivative with the given constant term."""
-        base = self
         constant = to_rational(constant)
 
         def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
-            m, r2 = base.domination(r1)  # type: ignore[misc]
+            m, r2 = self.domination(r1)  # type: ignore[misc]
             return max(m * r2, abs(constant)), r2
 
-        return PowerSeries(
-            lambda n: constant if n == 0 else base.coeff(n - 1) / n,
-            base.center,
-            base.radius_info,
-            dom if base.domination is not None else None,
-            f"integrate({base.name})" if base.name else "",
-        )
+        return _derived(lambda n: constant if n == 0 else self.coeff(n - 1) / n, dom,
+                        f"integrate({self.name})" if self.name else "", self)
 
     def cauchy_product(self, other: "PowerSeries") -> "PowerSeries":
         """Coefficient convolution; radius >= min of the factor radii."""
-        if self.center != other.center:
-            raise ValueError("Cauchy product needs a shared center")
         a, b = self, other
 
-        def gen(n: int) -> Fraction:
-            return sum((a.coeff(m) * b.coeff(n - m) for m in range(n + 1)), Fraction(0))
+        def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
+            ma, r2a = a.domination(r1)  # type: ignore[misc]
+            mb, r2b = b.domination(r1)  # type: ignore[misc]
+            r2 = min(r2a, r2b)
+            r_mid = (r1 + r2) / 2
+            return ma * mb * _geo_poly_max(r_mid / r2), r_mid
 
-        dom: Optional[Domination] = None
-        if a.domination is not None and b.domination is not None:
-
-            def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
-                ma, r2a = a.domination(r1)  # type: ignore[misc]
-                mb, r2b = b.domination(r1)  # type: ignore[misc]
-                r2 = min(r2a, r2b)
-                r_mid = (r1 + r2) / 2
-                return ma * mb * _geo_poly_max(r_mid / r2), r_mid
-
-        return PowerSeries(gen, a.center, _radius_at_least(a.radius_info, b.radius_info), dom,
-                           f"({a.name})*({b.name})")
+        return _derived(
+            lambda n: sum((a.coeff(m) * b.coeff(n - m) for m in range(n + 1)), Fraction(0)),
+            dom, f"({a.name})*({b.name})", a, b, op="Cauchy product")
 
     def add(self, other: "PowerSeries") -> "PowerSeries":
-        if self.center != other.center:
-            raise ValueError("sum needs a shared center")
         a, b = self, other
-        dom: Optional[Domination] = None
-        if a.domination is not None and b.domination is not None:
 
-            def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
-                ma, r2a = a.domination(r1)  # type: ignore[misc]
-                mb, r2b = b.domination(r1)  # type: ignore[misc]
-                r2 = min(r2a, r2b)
-                return ma + mb, r2
+        def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
+            ma, r2a = a.domination(r1)  # type: ignore[misc]
+            mb, r2b = b.domination(r1)  # type: ignore[misc]
+            return ma + mb, min(r2a, r2b)
 
-        return PowerSeries(lambda n: a.coeff(n) + b.coeff(n), a.center,
-                           _radius_at_least(a.radius_info, b.radius_info), dom,
-                           f"({a.name})+({b.name})")
+        return _derived(lambda n: a.coeff(n) + b.coeff(n), dom, f"({a.name})+({b.name})",
+                        a, b, op="sum")
 
     def scale(self, k: RationalLike) -> "PowerSeries":
         k = to_rational(k)
-        base = self
-        dom: Optional[Domination] = None
-        if base.domination is not None:
 
-            def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
-                m, r2 = base.domination(r1)  # type: ignore[misc]
-                return abs(k) * m, r2
+        def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
+            m, r2 = self.domination(r1)  # type: ignore[misc]
+            return abs(k) * m, r2
 
-        return PowerSeries(
-            lambda n: k * base.coeff(n), base.center, base.radius_info, dom, f"{k}*({base.name})"
-        )
+        return _derived(lambda n: k * self.coeff(n), dom, f"{k}*({self.name})", self)
+
+
+def _derived(gen: Callable[[int], Fraction], dom: Domination, name: str,
+             *parents: PowerSeries, op: str = "") -> PowerSeries:
+    """The series of coefficients gen(n) built from one parent or two that
+    share a centre: it takes their centre, the parent's radius or a lower
+    bound from both radii, and keeps `dom` only when every parent has
+    domination data."""
+    base = parents[0]
+    radius_info = base.radius_info
+    if len(parents) == 2:
+        if base.center != parents[1].center:
+            raise ValueError(f"{op} needs a shared center")
+        radius_info = _radius_at_least(radius_info, parents[1].radius_info)
+    keep = all(p.domination is not None for p in parents)
+    return PowerSeries(gen, base.center, radius_info, dom if keep else None, name)
 
 
 def radius(ps: PowerSeries, mode: str, horizon: int = 64) -> RadiusInfo:
@@ -521,59 +505,39 @@ def _dom_unit_coeff(r1: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(1), (r1 + 1) / 2
 
 
+def _unit_disk(left: str, right: str) -> RadiusInfo:
+    return RadiusInfo("exact", value=Fraction(1), left_endpoint=left, right_endpoint=right)
+
+
+# The fixed families of `make_power_series`, each centred at 0 and named by
+# the family: (c_n, radius, domination).
+_POWER_FAMILIES: dict[str, tuple[Callable[[int], Fraction], RadiusInfo, Optional[Domination]]] = {
+    "exp": (lambda n: Fraction(1, factorial(n)), RadiusInfo("infinite"), _dom_factorial_like),
+    "geometric": (lambda n: Fraction(1), _unit_disk("diverges", "diverges"), _dom_unit_coeff),
+    "log_neg": (lambda n: Fraction(0) if n == 0 else Fraction(1, n),
+                _unit_disk("converges", "diverges"), _dom_unit_coeff),
+    "p2": (lambda n: Fraction(0) if n == 0 else Fraction(1, n * n),
+           _unit_disk("converges", "converges"), _dom_unit_coeff),
+    "factorial": (lambda n: Fraction(factorial(n)), RadiusInfo("zero"), None),
+    "zero": (lambda n: Fraction(0), RadiusInfo("infinite"), lambda r1: (Fraction(0), r1 + 1)),
+}
+
+
 def make_power_series(family: str, **params) -> PowerSeries:
     """Registered power-series families (all centered at 0).
 
-    exp; sin; cos; geometric (sum x^n, 1/(1-x)); log_neg (sum x^n/n,
-    -ln(1-x)); p2 (sum x^n/n^2); factorial (sum n! x^n); binomial (alpha);
-    polynomial (coeffs); zero.
+    The fixed families are one table, `_POWER_FAMILIES`: exp; geometric
+    (sum x^n, 1/(1-x)); log_neg (sum x^n/n, -ln(1-x)); p2 (sum x^n/n^2);
+    factorial (sum n! x^n); zero.  sin and cos come from
+    `ode_recurrence_sin`; binomial takes alpha, and polynomial takes
+    coeffs (and optionally center and name).
     """
-    if family == "exp":
-        return PowerSeries(
-            lambda n: Fraction(1, factorial(n)),
-            Fraction(0),
-            RadiusInfo("infinite"),
-            _dom_factorial_like,
-            "exp",
-        )
-    if family == "sin":
-        sin_ps, _ = ode_recurrence_sin()
-        return sin_ps
-    if family == "cos":
-        _, cos_ps = ode_recurrence_sin()
-        return cos_ps
-    if family == "geometric":
-        return PowerSeries(
-            lambda n: Fraction(1),
-            Fraction(0),
-            RadiusInfo("exact", value=Fraction(1), left_endpoint="diverges", right_endpoint="diverges"),
-            _dom_unit_coeff,
-            "geometric",
-        )
-    if family == "log_neg":
-        return PowerSeries(
-            lambda n: Fraction(0) if n == 0 else Fraction(1, n),
-            Fraction(0),
-            RadiusInfo("exact", value=Fraction(1), left_endpoint="converges", right_endpoint="diverges"),
-            _dom_unit_coeff,
-            "log_neg",
-        )
-    if family == "p2":
-        return PowerSeries(
-            lambda n: Fraction(0) if n == 0 else Fraction(1, n * n),
-            Fraction(0),
-            RadiusInfo("exact", value=Fraction(1), left_endpoint="converges", right_endpoint="converges"),
-            _dom_unit_coeff,
-            "p2",
-        )
-    if family == "factorial":
-        return PowerSeries(
-            lambda n: Fraction(factorial(n)),
-            Fraction(0),
-            RadiusInfo("zero"),
-            None,
-            "factorial",
-        )
+    if family in _POWER_FAMILIES:
+        gen, radius_info, dom = _POWER_FAMILIES[family]
+        return PowerSeries(gen, Fraction(0), radius_info, dom, family)
+    if family in ("sin", "cos"):
+        sin_ps, cos_ps = ode_recurrence_sin()
+        return sin_ps if family == "sin" else cos_ps
     if family == "binomial":
         return binomial_series(params["alpha"])
     if family == "polynomial":
@@ -589,10 +553,6 @@ def make_power_series(family: str, **params) -> PowerSeries:
             RadiusInfo("infinite"),
             dom,
             params.get("name", "polynomial"),
-        )
-    if family == "zero":
-        return PowerSeries(
-            lambda n: Fraction(0), Fraction(0), RadiusInfo("infinite"), lambda r1: (Fraction(0), r1 + 1), "zero"
         )
     raise ValueError(f"unknown family {family!r}")
 
@@ -624,10 +584,14 @@ def ode_recurrence_sin() -> tuple[PowerSeries, PowerSeries]:
 def binomial_series(alpha: RationalLike) -> PowerSeries:
     """Generalized binomial series sum C(alpha, k) x^k.
 
-    Terminates (a polynomial) for nonnegative integer alpha; otherwise the
-    radius of convergence is exactly 1.
+    Terminates (the polynomial family) for nonnegative integer alpha;
+    otherwise the radius of convergence is exactly 1.
     """
     alpha = to_rational(alpha)
+    if alpha.denominator == 1 and alpha >= 0:
+        top = int(alpha)
+        return make_power_series("polynomial", coeffs=[comb(top, k) for k in range(top + 1)],
+                                 name=f"binomial({alpha})")
     memo: dict[int, Fraction] = {0: Fraction(1)}
 
     def gen(k: int) -> Fraction:
@@ -635,18 +599,6 @@ def binomial_series(alpha: RationalLike) -> PowerSeries:
             prev = gen(k - 1)
             memo[k] = prev * (alpha - (k - 1)) / k
         return memo[k]
-
-    if alpha.denominator == 1 and alpha >= 0:
-        def dom_poly(r1: Fraction) -> tuple[Fraction, Fraction]:
-            r2 = r1 + 1
-            bound = sum(
-                (abs(gen(k)) * r2**k for k in range(int(alpha) + 1)), Fraction(0)
-            )
-            return bound, r2
-
-        return PowerSeries(
-            gen, Fraction(0), RadiusInfo("infinite"), dom_poly, f"binomial({alpha})"
-        )
 
     def dom(r1: Fraction) -> tuple[Fraction, Fraction]:
         if r1 >= 1:
@@ -667,7 +619,15 @@ def binomial_series(alpha: RationalLike) -> PowerSeries:
 
 # --- Taylor polynomials with certified remainders ----------------------------
 
-_TAYLOR_TAGS = ("exp", "sin", "cos", "poly")
+# The registered Taylor tags, each with its default bound on |f^(order+1)|
+# over [-r, r]: 3^max(1, ceil(r)) >= e^r for exp (e <= 3), 1 for sin and
+# cos.  A "poly" bound comes from its coefficients (`taylor_poly`).
+_TAYLOR_BOUNDS: dict[str, Optional[Callable[[Fraction], Fraction]]] = {
+    "exp": lambda r: Fraction(3) ** max(1, ceil(r)),
+    "sin": lambda r: Fraction(1),
+    "cos": lambda r: Fraction(1),
+    "poly": None,
+}
 
 
 @dataclass(frozen=True)
@@ -721,7 +681,7 @@ def taylor_poly(
     x0, radius = to_rational(x0), to_rational(radius)
     if order < 0 or radius <= 0:
         raise ValueError("need order >= 0 and radius > 0")
-    if tag not in _TAYLOR_TAGS:
+    if tag not in _TAYLOR_BOUNDS:
         raise ValueError(f"unknown Taylor tag {tag!r}")
     if tag == "poly":
         if coeffs is None:
@@ -730,29 +690,19 @@ def taylor_poly(
         shifted = _recentre(base, x0) if x0 != 0 else base
         use = shifted[: order + 1]
         if deriv_bound is None:
-            if order + 1 >= len(base):
-                deriv_bound = Fraction(0)
-            else:
-                # sup of |p^(order+1)| on the segment via coefficient bounds
-                reach = abs(x0) + radius
-                bound = Fraction(0)
-                for i in range(order + 1, len(base)):
-                    fall = Fraction(factorial(i), factorial(i - order - 1))
-                    bound += abs(base[i]) * fall * reach ** (i - order - 1)
-                deriv_bound = bound
+            # sup of |p^(order+1)| on the segment via coefficient bounds
+            reach = abs(x0) + radius
+            deriv_bound = Fraction(0)
+            for i in range(order + 1, len(base)):
+                fall = Fraction(factorial(i), factorial(i - order - 1))
+                deriv_bound += abs(base[i]) * fall * reach ** (i - order - 1)
     else:
         if x0 != 0:
             raise ValueError(f"registered tag {tag!r} ships exact coefficients at 0 only")
         series = make_power_series(tag)
         use = tuple(series.coeff(k) for k in range(order + 1))
         if deriv_bound is None:
-            if tag == "exp":
-                # e**radius <= 3**radius <= 3**ceil(radius), via e <= 3
-                from math import ceil
-
-                deriv_bound = Fraction(3) ** max(1, ceil(radius))
-            else:
-                deriv_bound = Fraction(1)
+            deriv_bound = _TAYLOR_BOUNDS[tag](radius)  # type: ignore[misc]
     rng = None
     if deriv_range is not None:
         rng = (to_rational(deriv_range[0]), to_rational(deriv_range[1]))

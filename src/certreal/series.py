@@ -68,6 +68,8 @@ class _Family(NamedTuple):
     term: Callable  # term(*params) returns n -> a_n, so a stream makes one call per term
     registered: Optional[tuple[str, dict]] = None  # (tag, params), when not (name, params)
     label: Optional[str] = None  # stream name, when not the family name
+    vanishes: bool = False  # a_n -> 0 certifiably, for every parameter value
+    abs_family: Optional[str] = None  # the family of |a_n|, when it is one
 
 
 # The named families of `make_series`: a_n = term(*params)(n) from n = n0.
@@ -77,15 +79,19 @@ _FAMILIES = {
     "p_series": _Family(("p",), 1, lambda p: lambda n: _pseries_term(p, n)),
     "geometric": _Family(("r", "a"), 1, lambda r, a: lambda n: a * r ** (n - 1)),
     "harmonic": _Family((), 1, lambda: lambda n: Fraction(1, n), ("p_series", {"p": Fraction(1)})),
-    "alt_harmonic": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n)),
-    "newton_gregory": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), 2 * n - 1)),
-    "exp_terms": _Family(("x",), 0, lambda x: lambda n: x**n / Fraction(factorial(n))),
+    "alt_harmonic": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n),
+                            vanishes=True, abs_family="harmonic"),
+    "newton_gregory": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), 2 * n - 1),
+                              vanishes=True),
+    "exp_terms": _Family(("x",), 0, lambda x: lambda n: x**n / Fraction(factorial(n)),
+                         vanishes=True),
     "factorial_power": _Family(("x",), 0, lambda x: lambda n: Fraction(factorial(n)) * x**n),
     "two_pow_over_three_pow_minus_one": _Family(
-        (), 1, lambda: lambda n: Fraction(2**n, 3**n - 1), label="2^n/(3^n-1)"),
+        (), 1, lambda: lambda n: Fraction(2**n, 3**n - 1), label="2^n/(3^n-1)", vanishes=True),
     "inv_square": _Family((), 1, lambda: lambda n: Fraction(1, n * n),
                           ("p_series", {"p": Fraction(2)})),
-    "alt_inv_square": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n * n)),
+    "alt_inv_square": _Family((), 1, lambda: lambda n: Fraction((-1) ** (n - 1), n * n),
+                              vanishes=True, abs_family="inv_square"),
 }
 
 
@@ -108,16 +114,6 @@ def make_series(family: str, **params) -> SeriesHandle:
 
 
 # --- individual tests ------------------------------------------------------
-
-# Families whose terms certifiably tend to zero (registered facts).
-_TERMS_VANISH = {
-    "alt_harmonic",
-    "newton_gregory",
-    "exp_terms",
-    "two_pow_over_three_pow_minus_one",
-    "alt_inv_square",
-}
-
 
 def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
     fam, par = s.family, s.params
@@ -154,7 +150,7 @@ def _test_nth_term(s: SeriesHandle, horizon: int, ctx: dict):
             detail="|a_{n+1}/a_n| = (n+1)|x| >= 1 for n >= N, so |a_n| >= |a_N| > 0",
         )
         return Verdict(Status.DIVERGES, cert), "fired"
-    if fam in _TERMS_VANISH:
+    if fam in _FAMILIES and _FAMILIES[fam].vanishes:
         return None, "terms -> 0 (registered fact)"
     # Empirical scan: evidence of non-vanishing terms is reported as a
     # divergence verdict flagged not-machine-checked; apparent decay passes.
@@ -305,8 +301,11 @@ def _test_comparison(s: SeriesHandle, horizon: int, ctx: dict):
     partner, partner_verdict = ctx["partner"], ctx["partner_verdict"]
     if partner is None or partner_verdict is None:
         return None, "no comparison partner supplied"
-    ours = [s.term(n) for n in range(s.n0, horizon + 1)]
-    theirs = [partner.term(n) for n in range(partner.n0, partner.n0 + len(ours))]
+    lo_idx = max(s.n0, partner.n0)  # a_n is paired with b_n, as the certificate reads
+    if lo_idx > horizon:
+        return None, f"partner starts at {partner.n0}, past the horizon {horizon}"
+    ours = [s.term(n) for n in range(lo_idx, horizon + 1)]
+    theirs = [partner.term(n) for n in range(lo_idx, horizon + 1)]
     if not all(isinstance(v, Fraction) for v in ours + theirs):
         return None, "comparison needs exact terms"
     if any(v < 0 for v in ours) or any(v < 0 for v in theirs):
@@ -410,22 +409,19 @@ def _test_cauchy_criterion(s: SeriesHandle, horizon: int, ctx: dict):
     return None, f"partial-sum oscillation {oscillation} >= eps"
 
 
-# Registered absolute-value families: lets the absolute-convergence test
-# stay on the certified structural path.
-_ABS_FAMILY = {
-    "alt_inv_square": ("p_series", {"p": Fraction(2)}),
-    "alt_harmonic": ("p_series", {"p": Fraction(1)}),
-}
-
-
 def _test_abs_convergence(s: SeriesHandle, horizon: int, ctx: dict):
     if not isinstance(s.term(s.n0), Fraction):
         return None, "absolute convergence needs exact terms"
-    abs_family, abs_params = _ABS_FAMILY.get(s.family, (None, {}))
+    # a registered family of |a_n| keeps the inner classification on the
+    # certified structural path
+    tag, tag_params = None, {}
+    spec = _FAMILIES.get(s.family or "")
+    if spec is not None and spec.abs_family is not None:
+        tag, tag_params = _FAMILIES[spec.abs_family].registered or (spec.abs_family, {})
     inner = SeriesHandle(
         TermStream(lambda n: abs(s.term(n)), s.n0, f"|{s.terms.name}|"),
-        abs_family,
-        dict(abs_params),
+        tag,
+        dict(tag_params),
     )
     sub_policy = tuple(t for t in DEFAULT_POLICY if t not in ("alternating",))
     inner_verdict = classify(inner, sub_policy, horizon, ctx["delta"])

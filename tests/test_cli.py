@@ -286,6 +286,14 @@ def test_negative_digits_is_a_usage_error(capsys):
     (["taylor", "exp", "--order", "3", "--x", "1/2", "--deriv-range", "2,1"],
      "--deriv-range needs lo <= hi"),
     (["converge", "alt-harmonic", "--policy", "bogus"], "--policy names unknown test 'bogus'"),
+    (["taylor", "bogus", "--order", "3", "--x", "1/2"],
+     "unknown Taylor tag 'bogus': use exp, sin, cos or poly:<polynomial>"),
+    (["taylor", "poly", "--order", "2", "--x", "1"],
+     "tag 'poly' needs its polynomial: poly:<polynomial>"),
+    (["taylor", "sin", "--order", "3", "--x", "1/2", "--at", "1"],
+     "tag 'sin' ships exact coefficients at --at 0 only"),
+    (["taylor", "exp", "--order", "3", "--x", "5"],
+     "--x 5 lies farther than --radius 4 from --at 0"),
 ])
 def test_malformed_flag_values_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

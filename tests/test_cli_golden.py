@@ -111,6 +111,10 @@ ARGVS = [
     ["taylor", "exp", "--order", "5", "--x", "1/3"],
     ["taylor", "cos", "--order", "4", "--x", "1"],
     ["taylor", "poly:x^3-2x", "--order", "2", "--at", "1", "--x", "3/2"],
+    ["taylor", "bogus", "--order", "3", "--x", "1/2"],
+    ["taylor", "poly", "--order", "2", "--x", "1"],
+    ["taylor", "sin", "--order", "3", "--x", "1/2", "--at", "1"],
+    ["taylor", "exp", "--order", "3", "--x", "5"],
     ["bernstein", "poly:x^2", "--degree", "12", "--x", "1/3"],
     ["bernstein", "poly:x^3", "--degree", "8", "--x", "1/2", "--interval", "0,2",
      "--bound", "8", "--delta", "1/10", "--eps", "1/100"],

@@ -128,6 +128,23 @@ def test_sum_and_product_radius_is_a_lower_bound():
         assert combine(geo, combine(unknown, geo)).radius_info == window
 
 
+def test_derived_series_keep_domination_only_from_dominated_parents():
+    # one rule builds every derived series: without domination on a parent
+    # the child has none, and a binary operation needs one shared centre
+    bare, geo = PowerSeries(lambda n: F(1)), make_power_series("geometric")
+    for child in (bare.derive(), bare.integrate_termwise(1), bare.scale(2),
+                  bare.add(geo), geo.add(bare), bare.cauchy_product(geo), geo.cauchy_product(bare)):
+        assert child.domination is None
+    for child in (geo.derive(), geo.integrate_termwise(1), geo.scale(2), geo.add(geo),
+                  geo.cauchy_product(geo)):
+        assert child.domination is not None
+    shifted = make_power_series("polynomial", coeffs=[1, 1], center=1)
+    with pytest.raises(ValueError, match="^sum needs a shared center$"):
+        geo.add(shifted)
+    with pytest.raises(ValueError, match="^Cauchy product needs a shared center$"):
+        geo.cauchy_product(shifted)
+
+
 def test_cauchy_product_geometric_squared():
     geo = make_power_series("geometric")
     squared = geo.cauchy_product(geo)
@@ -243,6 +260,10 @@ def test_binomial_series_values():
     square = binomial_series(2)
     assert square.coeffs(4) == [1, 2, 1, 0, 0]
     assert square.radius_info.kind == "infinite"
+    # a terminating binomial is the polynomial family: sum |C(2, k)| R2^k
+    # dominates it, with R2 = r1 + 1
+    assert square.name == "binomial(2)"
+    assert square.domination(F(1, 2)) == ((1 + F(3, 2)) ** 2, F(3, 2))
     half = binomial_series(F(1, 2))
     assert half.coeffs(3) == [1, F(1, 2), F(-1, 8), F(1, 16)]
     assert half.radius_info.value == 1

@@ -405,6 +405,22 @@ def test_limit_comparison_reads_the_partner_from_its_start():
                               "partner starts at 70, past the horizon 64"),)
 
 
+def test_comparison_pairs_terms_by_index():
+    # a_n is compared with b_n from the later start on, and a partner that
+    # starts past the horizon leaves the test unfired
+    converges = classify(make_series("inv_square"), ("p_series",), 64)
+    late = make_series("custom", gen=lambda n: F(2, n * n), n0=40, name="2/n^2")
+    verdict = classify(make_series("inv_square"), ("comparison",), 64,
+                       partner=late, partner_verdict=converges)
+    assert verdict.status is Status.CONVERGES
+    assert verdict.certificate.witnesses == {"partner": "2/n^2", "direction": "below"}
+    too_late = make_series("custom", gen=lambda n: F(2, n * n), n0=80, name="2/n^2")
+    verdict = classify(make_series("inv_square"), ("comparison",), 64,
+                       partner=too_late, partner_verdict=converges)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.trace == (("comparison", "partner starts at 80, past the horizon 64"),)
+
+
 def test_product_start_is_the_first_factor_index():
     assert make_product("one_minus_inv_sq").start == 2
     assert make_product("one_plus_inv").start == 1
