@@ -568,20 +568,14 @@ def cmd_rearrange(args) -> tuple[Report, int]:
         if min(p, q) < 1:
             raise UsageError("--pattern counts must be >= 1")
         result = series.rearrange_pattern(handle, p, q, args.steps)
-        report.extras["last_partial_sums"] = [
-            decimal_string(v, 12) for v in result.partial_sums[-3:]
-        ]
     elif args.target is not None:
         result = series.rearrange_riemann(handle, _fraction(args.target), args.steps)
-        report.extras["flips"] = len(result.flips)
-        report.extras["last_partial_sums"] = [
-            decimal_string(v, 12) for v in result.partial_sums[-3:]
-        ]
-        if result.flips:
-            worst = max(f.distance_to_target for f in result.flips)
-            report.extras["max_flip_distance"] = decimal_string(worst, 12)
+        report.extras["flips"] = result.flip_count
     else:
         raise UsageError("rearrange needs --pattern P,Q or --target T")
+    report.extras["last_partial_sums"] = [decimal_string(v, 12) for v in result.last_sums]
+    if result.max_flip_distance is not None:
+        report.extras["max_flip_distance"] = decimal_string(result.max_flip_distance, 12)
     report.status = "Converges"
     return report, EXIT_OK
 

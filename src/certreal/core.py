@@ -582,7 +582,20 @@ def spot_check_metadata(
 # --- exact root bracketing -------------------------------------------------
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Largest r with r**n <= x (x >= 0, n >= 1).  Exact integer Newton."""
+    """Largest r with r**n <= x (x >= 0, n >= 1).  Exact integer Newton.
+
+    Seed: with x = m * 2^s and m the top 64 bits of x, e = (log2 m + s)/n and
+    r0 = floor(2^e) + 1, built from a 53-bit mantissa shifted left, so no
+    float overflows at any size of x.  The float only places the start.
+
+    Termination: write R = floor(x^(1/n)) and N(r) = ((n-1)r + x // r^(n-1))
+    // n, which equals floor(((n-1)r + x/r^(n-1))/n).  By AM-GM that mean is
+    at least x^(1/n) for every r > 0, so N(r) >= R whatever r is: after one
+    unconditional step r >= R.  While r > R, r^n > x gives x/r^(n-1) < r,
+    so N(r) < r; at r = R, N(r) >= r.  So r strictly decreases through
+    integers >= R, and the first step that does not decrease it is taken at
+    r = R.  Each step computes one power and one division.
+    """
     if x < 0 or n < 1:
         raise ValueError("need x >= 0 and n >= 1")
     if x == 0:
@@ -591,13 +604,17 @@ def integer_nth_root(x: int, n: int) -> int:
         return x
     if n == 2:
         return math.isqrt(x)
-    r = 1 << (x.bit_length() // n + 1)
-    # Termination: r starts above x^(1/n); a Newton step from r > floor(x^(1/n))
-    # lands below r and, by AM-GM, not below floor(x^(1/n)).
+    shift = max(x.bit_length() - 64, 0)
+    e = (math.log2(x >> shift) + shift) / n
+    whole = math.floor(e)
+    mantissa = int(2.0 ** (e - whole) * 2.0**52)  # 2^52 <= mantissa <= 2^53
+    r = (mantissa << (whole - 52) if whole >= 52 else mantissa >> (52 - whole)) + 1
+    r = ((n - 1) * r + x // r ** (n - 1)) // n
     while True:
-        if r**n <= x < (r + 1) ** n:
+        step = ((n - 1) * r + x // r ** (n - 1)) // n
+        if step >= r:
             return r
-        r = ((n - 1) * r + x // r ** (n - 1)) // n
+        r = step
 
 
 def sqrt_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
@@ -617,9 +634,10 @@ def nth_root_enclosure(q: RationalLike, n: int, digits: int = 12) -> Enclosure:
     if q == 0:
         return Enclosure.point(0)
     scale = 10**digits
-    s = integer_nth_root(q.numerator * q.denominator ** (n - 1) * scale**n, n)
+    radicand = q.numerator * q.denominator ** (n - 1) * scale**n
+    s = integer_nth_root(radicand, n)
     den = q.denominator * scale
-    if Fraction(s, den) ** n == q:
+    if s**n == radicand:  # (s/den)^n = q: den^n q is the radicand
         return Enclosure.point(Fraction(s, den))
     return Enclosure(Fraction(s, den), Fraction(s + 1, den))
 

@@ -635,20 +635,61 @@ class FlipRecord:
 
 @dataclass(frozen=True)
 class RearrangeResult:
-    indices: tuple[int, ...]
-    partial_sums: tuple[Fraction, ...]
-    flips: tuple[FlipRecord, ...]
-    target: Optional[Fraction] = None
+    """A rearrangement run: the values its callers read, and a recipe to
+    replay the rest.
+
+    Kept: the step count, the last three partial sums, the flip count and
+    the largest flip distance (None for a pattern run; the distance is None
+    too when no flip happened), the target, and the replay recipe: the term
+    generator, the start index, the scan cap and the rule, which is the
+    pattern (p, q) or the target.  The series' stream is not kept, as its
+    memo holds every term drawn.
+
+    Replayed: `indices`, `partial_sums` and `flips` re-run the rearrangement
+    each time they are read, calling the term generator with no memo, and
+    cache nothing.  The exact partial sums of alt_harmonic reach thousands
+    of bits by step 1,500, so keeping one per step cost about a megabyte
+    per result.
+    """
+
+    steps: int
+    last_sums: tuple[Fraction, ...]
+    flip_count: Optional[int]
+    max_flip_distance: Optional[Fraction]
+    target: Optional[Fraction]
+    gen: Callable = field(repr=False, compare=False)
+    n0: int
+    scan_cap: int
+    pattern: Optional[tuple[int, int]] = None
+
+    def _walk(self) -> list:
+        rule = self.target if self.pattern is None else self.pattern
+        return list(_rearrange(self.gen, self.n0, self.steps, self.scan_cap, rule))
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(idx for idx, _, _, _ in self._walk())
+
+    @property
+    def partial_sums(self) -> tuple[Fraction, ...]:
+        return tuple(total for _, _, total, _ in self._walk())
+
+    @property
+    def flips(self) -> tuple[FlipRecord, ...]:
+        return tuple(
+            FlipRecord(step, idx, term, total, abs(total - self.target))
+            for step, (idx, term, total, flipped) in enumerate(self._walk(), 1) if flipped
+        )
 
 
 class SignClassExhausted(ValueError):
     """One sign class ran out while scanning; contradicts the hypothesis."""
 
 
-def _sign_class_iter(s: SeriesHandle, want_nonnegative: bool, scan_cap: int):
-    n = s.n0
+def _sign_class_iter(term: Callable, n0: int, want_nonnegative: bool, scan_cap: int):
+    n = n0
     while n <= scan_cap:
-        v = s.term(n)
+        v = term(n)
         if not isinstance(v, Fraction):
             raise ValueError("rearrangement needs exact rational terms")
         if (v.numerator >= 0) == want_nonnegative:  # an int compare; a Fraction one costs 4x
@@ -659,32 +700,55 @@ def _sign_class_iter(s: SeriesHandle, want_nonnegative: bool, scan_cap: int):
     )
 
 
-def _rearrange(s: SeriesHandle, steps: int, scan_cap: Optional[int],
-               positive_next: Callable[[int, int, Fraction, Fraction], bool]):
-    """(indices, partial sums) of `steps` terms of s, each drawn in index
-    order from the nonnegative or from the negative terms.
+def _rearrange(term: Callable, n0: int, steps: int, scan_cap: int, rule):
+    """Yield (index, term, partial sum, flipped) for `steps` terms
+    a_n = term(n), n >= n0, each drawn in index order from the nonnegative
+    or from the negative terms.
 
-    The first term is nonnegative.  After step k (from 1), which drew term
-    a_idx and reached partial sum total, positive_next(k, idx, a_idx, total)
-    says whether the next term is nonnegative.  A sign class with no term
-    left by index scan_cap (default n0 + 100 * steps) raises
-    SignClassExhausted.
+    The first term is nonnegative.  A pattern rule (p, q) takes p
+    nonnegative terms, then q negative, cyclically.  A target rule takes
+    terms of one sign until the partial sum passes the target, and then
+    flips: `flipped` marks the step that passed it.  A sign class with no
+    term left by index scan_cap raises SignClassExhausted.
     """
+    classes = (_sign_class_iter(term, n0, False, scan_cap),
+               _sign_class_iter(term, n0, True, scan_cap))
+    pattern = isinstance(rule, tuple)
+    total = Fraction(0)
+    positive, flipped = True, False
+    for step in range(1, steps + 1):
+        idx, value = next(classes[positive])
+        total += value
+        if pattern:
+            positive = step % (rule[0] + rule[1]) < rule[0]
+        else:
+            flipped = total > rule if positive else total < rule
+            positive ^= flipped
+        yield idx, value, total, flipped
+
+
+def _rearrangement(s: SeriesHandle, steps: int, scan_cap: Optional[int],
+                   rule) -> RearrangeResult:
+    """Run the rearrangement once on s's own stream, keeping the last three
+    partial sums and the flip summary.  The scan cap defaults to
+    n0 + 100 * steps."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     cap = scan_cap if scan_cap is not None else s.n0 + 100 * steps
-    classes = (_sign_class_iter(s, False, cap), _sign_class_iter(s, True, cap))
-    indices: list[int] = []
-    sums: list[Fraction] = []
-    total = Fraction(0)
-    positive = True
-    for step in range(1, steps + 1):
-        idx, term = next(classes[positive])
-        total += term
-        indices.append(idx)
-        sums.append(total)
-        positive = positive_next(step, idx, term, total)
-    return tuple(indices), tuple(sums)
+    pattern = isinstance(rule, tuple)
+    last: tuple[Fraction, ...] = ()
+    flips, worst = 0, None
+    for _, _, total, flipped in _rearrange(s.term, s.n0, steps, cap, rule):
+        last = (*last[-2:], total)
+        if flipped:
+            flips += 1
+            distance = abs(total - rule)
+            if worst is None or distance > worst:
+                worst = distance
+    return RearrangeResult(
+        steps, last, None if pattern else flips, worst, None if pattern else rule,
+        s.terms.gen, s.n0, cap, rule if pattern else None,
+    )
 
 
 def rearrange_riemann(
@@ -704,19 +768,7 @@ def rearrange_riemann(
     diverging is checked only in the weak sense that neither may run out
     within the scan cap).
     """
-    target = to_rational(target)
-    flips: list[FlipRecord] = []
-    positive = True
-
-    def positive_next(step: int, idx: int, term: Fraction, total: Fraction) -> bool:
-        nonlocal positive
-        if total > target if positive else total < target:
-            flips.append(FlipRecord(step, idx, term, total, abs(total - target)))
-            positive = not positive
-        return positive
-
-    indices, sums = _rearrange(s, steps, scan_cap, positive_next)
-    return RearrangeResult(indices, sums, tuple(flips), target)
+    return _rearrangement(s, steps, scan_cap, to_rational(target))
 
 
 def rearrange_pattern(s: SeriesHandle, p: int, q: int, steps: int,
@@ -724,8 +776,7 @@ def rearrange_pattern(s: SeriesHandle, p: int, q: int, steps: int,
     """Fixed-pattern rearrangement: p nonnegative terms, then q negative, cyclically."""
     if p < 1 or q < 1:
         raise ValueError("pattern counts must be >= 1")
-    indices, sums = _rearrange(s, steps, scan_cap, lambda step, *_: step % (p + q) < p)
-    return RearrangeResult(indices, sums, tuple())
+    return _rearrangement(s, steps, scan_cap, (p, q))
 
 
 # --- infinite products -------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -173,6 +174,64 @@ def test_integer_nth_root():
     assert nth_root_enclosure(F(1, 64), 3) == Enclosure.point(F(1, 4))
     enc = nth_root_enclosure(5, 3, 10)
     assert enc.lo**3 <= 5 <= enc.hi**3
+
+
+def _nth_root_reference(x: int, n: int) -> int:
+    """The Newton loop integer_nth_root ran before its float seed: from
+    2^(bits/n + 1), testing r^n <= x < (r+1)^n at every step."""
+    if x == 0:
+        return 0
+    if n == 1:
+        return x
+    if n == 2:
+        return math.isqrt(x)
+    r = 1 << (x.bit_length() // n + 1)
+    while True:
+        if r**n <= x < (r + 1) ** n:
+            return r
+        r = ((n - 1) * r + x // r ** (n - 1)) // n
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=st.integers(1, 600), bits=st.integers(0, 10**5),
+       near=st.sampled_from((None, -1, 0, 1)), rng=st.randoms(use_true_random=False))
+@example(n=128, bits=5000, near=None, rng=random.Random(0))
+@example(n=512, bits=10**5, near=0, rng=random.Random(0))
+@example(n=3, bits=10**5, near=-1, rng=random.Random(0))
+def test_integer_nth_root_equals_the_newton_reference(n, bits, near, rng):
+    # near=None: x has up to `bits` random bits; else x = r^n + near, an
+    # exact power or one of its neighbours
+    if near is None:
+        x = rng.getrandbits(bits)
+    else:
+        x = max((rng.getrandbits(bits // n) + 1) ** n + near, 0)
+    assert integer_nth_root(x, n) == _nth_root_reference(x, n)
+
+
+class _CountedInt(int):
+    """An int that counts the floor divisions it is the dividend of."""
+
+    divisions = 0
+
+    def __floordiv__(self, other):
+        _CountedInt.divisions += 1
+        return int(self) // other
+
+
+def test_integer_nth_root_takes_few_newton_divisions():
+    # The float seed carries 38 or more correct bits for x up to 10^5
+    # bits, and each Newton step about doubles them: one step to land at or above the root, a few to reach
+    # it, one to see that r stops falling.  The reference loop's seed took
+    # 88 divisions at 5,000 bits with n = 128.
+    rng = random.Random(31)
+    cases = [(5000, 128), (10**5, 512), (10**5, 3), (64, 3), (65, 600)]
+    cases += [(rng.randint(1, 30000), rng.randint(3, 600)) for _ in range(200)]
+    for bits, n in cases:
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        _CountedInt.divisions = 0
+        r = integer_nth_root(_CountedInt(x), n)
+        assert r**n <= x < (r + 1) ** n
+        assert _CountedInt.divisions <= 3 + (x.bit_length() // n).bit_length(), (bits, n)
 
 
 def test_rational_power_at_zero():
