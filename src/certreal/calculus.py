@@ -85,12 +85,45 @@ class Bracket:
             raise ValueError(f"no sign change: f({a}) = {fa}, f({b}) = {fb}")
 
 
+# One code per bisection step: the bit _KEPT_LEFT is set when the probe
+# became the right end, _PERTURBED when the probe was the 3/8 point.
+_KEPT_LEFT, _PERTURBED = 1, 2
+
+
 @dataclass(frozen=True)
 class BisectResult:
+    """A bisection run: its start bracket, one code per step and its end.
+
+    `trace` is not stored: it replays the start bracket through the step
+    codes by exact arithmetic, with no oracle call, and equals the tuple of
+    brackets the run visited, ending in (x, x) after an exact zero at x.
+    An exact zero at an end of the bracket is kept as the degenerate start
+    bracket (x, x) with no steps.
+    """
+
     enclosure: Enclosure
-    trace: tuple[tuple[Fraction, Fraction], ...]
+    start: tuple[Fraction, Fraction]
+    codes: bytes = b""
     exact_hit: bool = False
-    perturbed_midpoints: int = 0
+
+    @property
+    def perturbed_midpoints(self) -> int:
+        return sum(1 for code in self.codes if code & _PERTURBED)
+
+    @property
+    def trace(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        a, b = self.start
+        visited = [(a, b)]
+        for code in self.codes:
+            mid = a + (b - a) * Fraction(3, 8) if code & _PERTURBED else (a + b) / 2
+            if code & _KEPT_LEFT:
+                b = mid
+            else:
+                a = mid
+            visited.append((a, b))
+        if self.exact_hit and self.codes:
+            visited[-1] = (mid, mid)
+        return tuple(visited)
 
 
 def bisect(bracket: Bracket, iterations: int) -> BisectResult:
@@ -110,19 +143,20 @@ def bisect(bracket: Bracket, iterations: int) -> BisectResult:
     fa = _signed_value(f, a, bracket.digits, a, b)
     fb = _signed_value(f, b, bracket.digits, a, b)
     if fa == 0:
-        return BisectResult(Enclosure.point(a), ((a, a),), True)
+        return BisectResult(Enclosure.point(a), (a, a), exact_hit=True)
     if fb == 0:
-        return BisectResult(Enclosure.point(b), ((b, b),), True)
+        return BisectResult(Enclosure.point(b), (b, b), exact_hit=True)
     flip = fa > 0  # orient so the left value is below zero
-    trace = [(a, b)]
-    perturbed = 0
+    start = (a, b)
+    codes = bytearray()
     for _ in range(iterations):
         mid = (a + b) / 2
+        code = 0
         try:
             value = _signed_value(f, mid, bracket.digits, a, b)
         except AmbiguousSign:
             # perturbed midpoint: a zero-free probe cannot sit at the root
-            perturbed += 1
+            code = _PERTURBED
             mid = a + (b - a) * Fraction(3, 8)
             try:
                 value = _signed_value(f, mid, bracket.digits, a, b)
@@ -133,15 +167,15 @@ def bisect(bracket: Bracket, iterations: int) -> BisectResult:
         if flip:
             value = -value
         if value == 0:
-            return BisectResult(
-                Enclosure.point(mid), tuple(trace) + ((mid, mid),), True, perturbed
-            )
+            codes.append(code)
+            return BisectResult(Enclosure.point(mid), start, bytes(codes), True)
         if value < 0:
             a = mid
         else:
             b = mid
-        trace.append((a, b))
-    return BisectResult(Enclosure(a, b), tuple(trace), False, perturbed)
+            code |= _KEPT_LEFT
+        codes.append(code)
+    return BisectResult(Enclosure(a, b), start, bytes(codes))
 
 
 @dataclass(frozen=True)

@@ -642,20 +642,6 @@ def nth_root_enclosure(q: RationalLike, n: int, digits: int = 12) -> Enclosure:
     return Enclosure(Fraction(s, den), Fraction(s + 1, den))
 
 
-def outward_round(x: RationalLike, significant: int = 40) -> tuple[Fraction, Fraction]:
-    """Bracket x >= 0 between grid rationals with about `significant`
-    significant digits (lo <= x <= hi).  Keeps exact-arithmetic costs
-    bounded when only an enclosure of a huge-denominator value is needed."""
-    x = to_rational(x)
-    if x < 0:
-        raise ValueError("outward_round expects a nonnegative value")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    magnitude = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
-    shift = significant - magnitude
-    return _round_out(x, x, 10**shift if shift >= 0 else Fraction(1, 10**-shift))
-
-
 def _ceil_log10(c: int) -> int:
     """The least k >= 0 with 10^k >= c: asking an oracle for k more digits
     keeps its width below 10^-digits after a scaling by at most c."""

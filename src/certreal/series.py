@@ -20,8 +20,8 @@ from certreal.core import (
     RationalLike,
     Status,
     Verdict,
-    nth_root_enclosure,
-    outward_round,
+    integer_nth_root,
+    nth_root_enclosure,  # noqa: F401  (callers reach it as series.nth_root_enclosure)
     rational_power_enclosure,
     to_rational,
 )
@@ -586,21 +586,29 @@ def _ratio_scan(s: SeriesHandle, horizon: int) -> tuple[tuple[int, int], list[Fr
 
 def _root_scan(s: SeriesHandle, horizon: int,
                digits: int) -> tuple[tuple[int, int], list[Enclosure]]:
-    """(scan range, an enclosure of |a_n|**(1/n) at `digits` for each n >= 1
-    in it).  A term that is not an exact rational raises ValueError."""
+    """(scan range, an enclosure of |a_n|**(1/n) on the 10^-digits grid for
+    each n >= 1 in it).  A term that is not an exact rational raises
+    ValueError.
+
+    With S = 10^digits and |a_n| = p/q, r = floor(z^(1/n)) for z = p·S^n/q,
+    and floor(z^(1/n)) is the integer n-th root of floor(z).  So r/S <=
+    |a_n|^(1/n) < (r + 1)/S: the bracket is 10^-digits wide, or the point
+    r/S when r^n·q = p·S^n.  The radicand floor(z) has at most
+    n·digits·log2(10) + log2|a_n| + 1 bits, whatever the size of q.
+    """
     lo, hi = _scan_range(s, horizon)
+    scale = 10**digits
     brackets = []
     for n in range(max(lo, 1), hi + 1):
         a_n = s.term(n)
         if not isinstance(a_n, Fraction):
             raise ValueError("root scan needs exact rational terms")
-        # huge-denominator terms are outward-rounded first: the root
-        # bracket stays sound and the integer root stays affordable
-        lo_r, hi_r = outward_round(abs(a_n), 40)
-        brackets.append(Enclosure(
-            nth_root_enclosure(lo_r, n, digits).lo,
-            nth_root_enclosure(hi_r, n, digits).hi,
-        ))
+        num, den = abs(a_n.numerator) * scale**n, a_n.denominator
+        r = integer_nth_root(num // den, n)
+        if r**n * den == num:
+            brackets.append(Enclosure.point(Fraction(r, scale)))
+        else:
+            brackets.append(Enclosure(Fraction(r, scale), Fraction(r + 1, scale)))
     return (lo, hi), brackets
 
 
@@ -609,16 +617,16 @@ def ratio_root_scan(s: SeriesHandle, horizon: int, digits: int = 12) -> dict:
     over the back half of the horizon [horizon/2, horizon].
 
     These are windows, not limits; certification is the caller's business
-    (see `classify`).  A zero term in the ratio scan is reported with its index.
+    (see `classify`).  A zero term in the ratio scan is reported with its
+    index.  The result keeps the two windows and the scan range only, not
+    the per-index values they are taken over.
     """
     scan_range, ratios = _ratio_scan(s, horizon)
     _, brackets = _root_scan(s, horizon, digits)
     return {
         "scan_range": scan_range,
         "ratio_window": Enclosure(min(ratios), max(ratios)),
-        "ratio_values": ratios,
         "root_window": Enclosure(min(b.lo for b in brackets), max(b.hi for b in brackets)),
-        "root_values": brackets,
     }
 
 

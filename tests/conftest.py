@@ -1,5 +1,7 @@
 """Shared test tooling."""
 
+import gc
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
@@ -37,3 +39,20 @@ def fractions_built():
         Fraction.__new__ = new
         if coprime is not None:
             Fraction._from_coprime_ints = coprime
+
+
+def held_bytes(run):
+    """(result, bytes it holds): what `run()` leaves allocated while its
+    result is kept, measured with tracemalloc after a first warming call,
+    so that caches the first call fills do not count."""
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, held

@@ -6,8 +6,8 @@ counts drift upward with the block index.  This test runs an early and a
 late block of each workload whose queries change with the index, through
 `perfbench/queries.py` and `perfbench/oracle.py` (imported, not edited),
 and needs every answer to check OK, the root scans of series-battery
-included.  series-battery leaves out only the queries its mix marks as
-known defects.
+included, and so are the queries its mix marks as known defects:
+`classify(exp_terms x=1/2, 512)` and `bisect(cos, 1, 2, 300)`.
 """
 
 import sys
@@ -30,8 +30,6 @@ import queries  # noqa: E402
 ])
 def test_benchmark_block_answers_check_ok(workload, index):
     for query in mixes.block(workload, 1, index):
-        if workload == "series-battery" and query.defect:
-            continue
         answer = queries.answer(query, queries.execute(query))
         assert answer.get("code") != 1, (query.label, answer["stderr"])
         verdict, detail = oracle.check(query, answer)

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certreal.calculus import (
     AmbiguousSign,
     Bracket,
     WitnessScanInconclusive,
+    _signed_value,
     bisect,
     count_roots_report,
     mvt_witness,
@@ -19,6 +21,7 @@ from certreal.core import (
     sqrt_enclosure,
 )
 from certreal.powerseries import cos_enclosure, pi_enclosure
+from conftest import held_bytes
 
 SEXTIC = poly_descriptor([1, 6, 0, 0, 0, 0, 1], name="x^6+6x+1")
 SEXTIC_PIECED = SEXTIC.with_meta(
@@ -100,6 +103,95 @@ def test_bisect_raises_when_both_probes_straddle_zero():
     )
     with pytest.raises(AmbiguousSign, match="3/8 point"):
         bisect(Bracket(vague, 0, 1), 1)
+
+
+def _bisect_reference(bracket, iterations):
+    """(enclosure, trace, exact_hit, perturbed midpoints) of the bisection
+    loop that built its trace as a list of brackets, step by step."""
+    f = bracket.f
+    a, b = bracket.a, bracket.b
+    fa = _signed_value(f, a, bracket.digits, a, b)
+    fb = _signed_value(f, b, bracket.digits, a, b)
+    if fa == 0:
+        return Enclosure.point(a), ((a, a),), True, 0
+    if fb == 0:
+        return Enclosure.point(b), ((b, b),), True, 0
+    flip = fa > 0
+    trace = [(a, b)]
+    perturbed = 0
+    for _ in range(iterations):
+        mid = (a + b) / 2
+        try:
+            value = _signed_value(f, mid, bracket.digits, a, b)
+        except AmbiguousSign:
+            perturbed += 1
+            mid = a + (b - a) * F(3, 8)
+            value = _signed_value(f, mid, bracket.digits, a, b)
+        if flip:
+            value = -value
+        if value == 0:
+            return Enclosure.point(mid), tuple(trace) + ((mid, mid),), True, perturbed
+        if value < 0:
+            a = mid
+        else:
+            b = mid
+        trace.append((a, b))
+    return Enclosure(a, b), tuple(trace), False, perturbed
+
+
+def _assert_replays_the_reference(bracket, iterations):
+    result = bisect(bracket, iterations)
+    enclosure, trace, exact_hit, perturbed = _bisect_reference(bracket, iterations)
+    assert result.trace == trace
+    assert result.enclosure == enclosure
+    assert result.exact_hit is exact_hit
+    assert result.perturbed_midpoints == perturbed
+    return result
+
+
+@settings(deadline=None, max_examples=150)
+@given(lo=st.integers(-4, 3), width=st.integers(1, 4), den=st.sampled_from([1, 2, 3, 8, 64, 1024]),
+       position=st.floats(0, 1), c=st.fractions(F(1, 8), 4, max_denominator=8),
+       sign=st.sampled_from([1, -1]), iterations=st.integers(0, 40))
+def test_bisect_trace_replays_the_reference_on_polynomials(lo, width, den, position, c, sign,
+                                                           iterations):
+    # (x - r)(x^2 + c) with r on a dyadic grid, or a third, in [lo, lo + width]:
+    # a midpoint or an end hits a dyadic root exactly when the width is a
+    # power of two
+    r = F(lo * den + round(position * width * den), den)
+    coeffs = [-r * c, c, -r, F(1)]
+    f = poly_descriptor([sign * k for k in coeffs])
+    result = _assert_replays_the_reference(Bracket(f, lo, lo + width), iterations)
+    if den == 1024 and width != 3 and iterations >= 9 + width.bit_length():
+        assert result.exact_hit
+
+
+# pi/2 to within 10^-100: an oracle cannot tell cos there from 0 at the
+# 80 digits that a sign test at bracket digits 20 may ask for
+_HALF_PI = F(math.floor(pi_enclosure(110).lo * 10**105), 2 * 10**105)
+_COS = FnDescriptor(name="cos", eval_enc=cos_enclosure)
+
+
+@settings(deadline=None, max_examples=30)
+@given(e=st.integers(3, 20), m=st.integers(1, 16), iterations=st.integers(1, 40))
+def test_bisect_trace_replays_the_reference_on_cos(e, m, iterations):
+    # [c - w, c + m w] around c ~ pi/2 puts a midpoint at c after
+    # log2(m + 1) halvings when m + 1 is a power of two; that probe is
+    # perturbed to the 3/8 point
+    w = F(1, 10**e)
+    result = _assert_replays_the_reference(Bracket(_COS, _HALF_PI - w, _HALF_PI + m * w), iterations)
+    hit_step = (m + 1).bit_length() - 1
+    if m & (m + 1) == 0 and iterations >= hit_step:
+        assert result.perturbed_midpoints == 1
+        a, b = result.trace[hit_step - 1]
+        assert result.trace[hit_step] == (a + (b - a) * F(3, 8), b)
+
+
+def test_a_bisection_result_holds_few_bytes():
+    # one code per step; the 301 brackets of the trace held 46.9 KB
+    result, held = held_bytes(lambda: bisect(Bracket(_COS, 1, 2), 300))
+    assert len(result.trace) == 301
+    assert held <= 4 * 1024, held
 
 
 def test_count_roots_sextic():

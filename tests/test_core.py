@@ -26,7 +26,6 @@ from certreal.core import (
     nth_root_enclosure,
     poly_descriptor,
     rational_power_enclosure,
-    outward_round,
     spot_check_metadata,
     to_rational,
 )
@@ -76,12 +75,6 @@ def test_round_out_is_the_floor_and_ceiling_on_the_grid(ends, shift, odd):
     for scale in (10**shift if shift >= 0 else F(1, 10**-shift), F(odd, 10**abs(shift))):
         expected = (F(math.floor(lo * scale)) / scale, F(math.ceil(hi * scale)) / scale)
         assert _round_out(lo, hi, scale) == expected
-    if lo > 0:
-        magnitude = math.floor(math.log10(lo.numerator) - math.log10(lo.denominator))
-        step = 12 - magnitude
-        scale = 10**step if step >= 0 else F(1, 10**-step)
-        assert outward_round(lo, 12) == (F(math.floor(lo * scale)) / scale,
-                                         F(math.ceil(lo * scale)) / scale)
 
 
 def test_float_rejected():

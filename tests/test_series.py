@@ -5,6 +5,7 @@ from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from certreal import series
 from certreal.core import Enclosure, FnDescriptor, Status
 from certreal.powerseries import constants, exp_enclosure, ln_enclosure, pi_enclosure
 from certreal.sequences import TermStream
@@ -12,6 +13,7 @@ from certreal.series import (
     DEFAULT_POLICY,
     SignClassExhausted,
     _TESTS,
+    _root_scan,
     _signed_sum,
     alternating_sum_with_bound,
     classify,
@@ -23,7 +25,7 @@ from certreal.series import (
     rearrange_pattern,
     rearrange_riemann,
 )
-from conftest import fractions_built
+from conftest import fractions_built, held_bytes
 
 
 def test_partial_sum_examples():
@@ -281,6 +283,87 @@ def test_ratio_scan_zero_term_reported():
     gappy = make_series("custom", gen=lambda n: F(0) if n == 60 else F(1, n), n0=1)
     with pytest.raises(ZeroDivisionError, match="60"):
         ratio_root_scan(gappy, 100)
+
+
+def test_root_scan_radicands_stay_digit_sized(monkeypatch):
+    # exp_terms at x = 1/2 has |a_n| = 1/(2^n n!), whose denominator has
+    # about n log2 n bits; rooting |a_n| on its own grid took radicands of
+    # millions of bits at horizon 512 and ran past any budget.
+    calls = []
+    root = series.integer_nth_root
+    monkeypatch.setattr(series, "integer_nth_root",
+                        lambda x, n: calls.append((x, n)) or root(x, n))
+    handle = make_series("exp_terms", x=F(1, 2))
+    verdict = classify(handle, policy=("root",), horizon=512)
+    assert verdict.status is Status.CONVERGES
+    assert sorted(n for _, n in calls) == list(range(256, 513))
+    for radicand, n in calls:
+        a_n = abs(handle.term(n))
+        digits_bits = (10 ** (n * 12) - 1).bit_length()  # ceil(12 n log2 10)
+        ceil_a_n = -(-a_n.numerator // a_n.denominator)
+        assert radicand.bit_length() <= digits_bits + max(0, ceil_a_n.bit_length()) + 1
+
+
+_ROOT_FAMILIES = ("exp_terms", "factorial_power", "geometric", "inv_square",
+                  "two_pow_over_three_pow_minus_one")
+_SIGNED_QUARTERS = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=12).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(_ROOT_FAMILIES), x=_SIGNED_QUARTERS, a=_SIGNED_QUARTERS,
+       horizon=st.integers(2, 101), digits=st.integers(1, 20))
+def test_root_scan_brackets_contain_the_root_on_the_digit_grid(family, x, a, horizon, digits):
+    mpmath = pytest.importorskip("mpmath")
+    params = {"exp_terms": {"x": x}, "factorial_power": {"x": x},
+              "geometric": {"a": a, "r": x}}.get(family, {})
+    handle = make_series(family, **params)
+    (lo, hi), brackets = _root_scan(handle, horizon, digits)
+    indices = range(max(lo, 1), hi + 1)
+    assert len(brackets) == len(indices)
+    slack = mpmath.mpf(10) ** -50
+    with mpmath.workdps(60):
+        for n, bracket in zip(indices, brackets):
+            assert bracket.width() in (0, F(1, 10**digits))
+            assert (bracket.lo * 10**digits).denominator == 1
+            a_n = abs(handle.term(n))
+            ref = mpmath.root(mpmath.mpf(a_n.numerator) / a_n.denominator, n)
+            assert mpmath.mpf(bracket.lo.numerator) / bracket.lo.denominator - slack <= ref
+            assert ref <= mpmath.mpf(bracket.hi.numerator) / bracket.hi.denominator + slack
+
+
+@pytest.mark.parametrize("offset, expected", [
+    (0, Enclosure.point(F(7, 10))),
+    (-1, Enclosure(F(69, 100), F(7, 10))),
+    (1, Enclosure(F(7, 10), F(71, 100))),
+])
+def test_root_scan_at_a_grid_point(offset, expected):
+    # |a_n| = (7/10)^n exactly, a hair below it and a hair above it: the
+    # root is the grid point 7/10 itself, or lies just below or just above
+    handle = make_series("custom", gen=lambda n: F(7, 10) ** n + offset * F(1, 10 ** (3 * n)),
+                         n0=1)
+    _, brackets = _root_scan(handle, 8, 2)
+    assert brackets == [expected] * 5
+
+
+@pytest.mark.parametrize("family", ["harmonic", "inv_square"])
+@pytest.mark.parametrize("horizon", [32, 64, 128])
+def test_root_trend_guard_refuses_on_the_digit_grid(family, horizon):
+    # the values climb toward 1 in both: a window below 1 - delta must not
+    # certify convergence of the harmonic series
+    verdict = classify(make_series(family), policy=("root",), horizon=horizon)
+    assert verdict.status is Status.INCONCLUSIVE
+    (test, note), = verdict.trace
+    assert test == "root" and "trend rising" in note
+
+
+def test_a_scan_result_holds_few_bytes():
+    # A result keeps its windows and range; the per-index ratios and root
+    # brackets it kept before held 30 KB at horizon 128.
+    result, held = held_bytes(
+        lambda: ratio_root_scan(make_series("two_pow_over_three_pow_minus_one"), 128))
+    assert result["scan_range"] == (64, 128)
+    assert held <= 2 * 1024, held
 
 
 def _greedy_oracle(handle, target, steps):
