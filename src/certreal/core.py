@@ -628,6 +628,7 @@ def sqrt_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 
 def nth_root_enclosure(q: RationalLike, n: int, digits: int = 12) -> Enclosure:
     """Enclosure of q**(1/n) of width <= 10**-digits (q >= 0, n >= 1)."""
+    _check_digits(digits)
     q = to_rational(q)
     if q < 0:
         raise ValueError("even roots of negatives are undefined here")
@@ -640,6 +641,12 @@ def nth_root_enclosure(q: RationalLike, n: int, digits: int = 12) -> Enclosure:
     if s**n == radicand:  # (s/den)^n = q: den^n q is the radicand
         return Enclosure.point(Fraction(s, den))
     return Enclosure(Fraction(s, den), Fraction(s + 1, den))
+
+
+def _check_digits(digits: int) -> None:
+    """The one check of an elementary enclosure's digit count."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
 
 
 def _ceil_log10(c: int) -> int:

@@ -1,8 +1,10 @@
 """Power series, radius of convergence, Taylor remainders, and constants.
 
 Also home of the certified elementary enclosures (exp, ln, sin, cos, pi):
-each is a partial sum of an exact rational series plus an explicit rational
-tail bound, so every returned interval really contains the target value.
+exp, ln and pi are partial sums of an exact rational series, and sin and
+cos fixed-point sums on a 2^-B grid with an integer count of the rounding
+error; each adds an explicit tail bound, so every returned interval really
+contains the target value.
 Coefficient generators are lazy and memoized; truncation orders are always
 explicit in results.
 """
@@ -18,6 +20,7 @@ from certreal.core import (
     Enclosure,
     RationalLike,
     _ceil_log10,
+    _check_digits,
     _poly_eval,
     sqrt_enclosure,
     to_rational,
@@ -46,11 +49,11 @@ __all__ = [
 ]
 
 
-def _ratio_sum(num: int, den: int, p: tuple[int, int], q: tuple[int, int, int],
+def _ratio_sum(num: int, den: int, p: tuple[int, int], q: tuple[int, int],
                first: int, scale: int) -> tuple[int, int, int, int, int]:
     """(N, D, M, T, E): N/D = M/E = t_0 + ... + t_k and T/E = t_(k+1) for
     the series t_0 = num/den, t_(j+1) = t_j p(j)/q(j) with p(j) = p0 + p1 j
-    and q(j) = q0 + q1 j + q2 j^2 >= 1, where k is the first index >= `first`
+    and q(j) = q0 + q1 j >= 1, where k is the first index >= `first`
     with scale |T| <= E; the fractions are not reduced."""
     # N/D is kept over D_j = den q(0)...q(j-1) and the next term's numerator
     # T over E = D_j q(j), so the loop runs in integers: N_(j+1) = N_j q(j) +
@@ -60,11 +63,11 @@ def _ratio_sum(num: int, den: int, p: tuple[int, int], q: tuple[int, int, int],
     # Termination: every caller's terms tend to 0, so scale |t_(k+1)| <= 1
     # holds from some k >= first on.
     p0, p1 = p
-    q0, q1, q2 = q
+    q0, q1 = q
     bits = scale.bit_length()
     term, j = num, 0
     while True:
-        step = q0 + (q1 + q2 * j) * j
+        step = q0 + q1 * j
         term *= p0 + p1 * j
         nxt_den = den * step
         if (j >= first and term.bit_length() + bits <= nxt_den.bit_length() + 1
@@ -80,7 +83,7 @@ def _exp_series(a: int, b: int, digits: int) -> tuple[int, int, int, int]:
     # (k+1) b >= 2a the ratio is <= 1/2, so the tail after term k is at most
     # twice the next term.
     first = max(1, -(-2 * a // b) - 1)  # the least k >= 1 with (k+1) b >= 2a
-    num, den, mid, term, nxt_den = _ratio_sum(1, 1, (a, 0), (b, b, 0), first, 2 * 10**digits)
+    num, den, mid, term, nxt_den = _ratio_sum(1, 1, (a, 0), (b, b), first, 2 * 10**digits)
     return num, den, mid + 2 * term, nxt_den
 
 
@@ -127,6 +130,7 @@ def _exp_negative_grid(a: int, b: int, digits: int, p: int = 1, q: int = 1) -> t
 
 def exp_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     """Enclosure of e**q of width <= 10**-digits."""
+    _check_digits(digits)
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(1)
@@ -183,6 +187,7 @@ def ln_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     Range-reduces by powers of two, then sums the fast artanh series
     ln(m) = 2 artanh((m-1)/(m+1)) on m in [2/3, 4/3].
     """
+    _check_digits(digits)
     q = to_rational(q)
     if q <= 0:
         raise ValueError("ln of a non-positive rational")
@@ -204,28 +209,74 @@ def ln_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 
 
 def _sin_like(q: Fraction, digits: int, cosine: bool) -> Enclosure:
-    # Alternating factorial series, ratio -q^2/((k+1)(k+2)) from exponent k
-    # to k + 2; once k >= 2|q| (k b >= 2|a| for q = a/b) it is below 1/4,
-    # so the tail is bounded by twice the next term.
-    a, b = q.numerator, q.denominator
-    b2 = b * b
-    if cosine:  # exponent k = 2j
-        start, step = (1, 1), (2 * b2, 6 * b2, 4 * b2)
-        first = -(-abs(a) // b)  # the least j with 2j b >= 2|a|
-    else:  # exponent k = 2j + 1
-        start, step = (a, b), (6 * b2, 10 * b2, 4 * b2)
-        first = -(-(2 * abs(a) - b) // (2 * b))  # the least j with (2j+1) b >= 2|a|
-    _, _, mid, term, nxt_den = _ratio_sum(*start, (-a * a, 0), step, max(1, first),
-                                          4 * 10**digits)
-    rad = 2 * abs(term)
-    return Enclosure(Fraction(mid - rad, nxt_den),
-                     Fraction(mid + rad, nxt_den)).intersect(Enclosure(-1, 1))
+    """sin(q) or cos(q), q = a/b != 0, summed in fixed point on the grid
+    2^-B, B = bits(10^digits) + guard; the endpoints are over 2^B whatever
+    the size of b, and the width is at most 10^-digits.
+
+    With x = |q| and n = 2j (cos) or 2j + 1 (sin), term j is x^n/n!, and
+    the ratio from term j to j + 1 is a^2/(b^2 s_j) with s_j = (n+1)(n+2).
+    T_j holds term j times 2^B, rounded down from the exact ratio each step
+    (T_0 = 2^B for cos, floor(|a| 2^B / b) for sin), and e_j bounds its
+    error in grid units: e_0 = 0 for cos and 1 for sin, e_(j+1) =
+    ceil(e_j a^2/(b^2 s_j)) + 1.  So S = sum (-1)^j T_j over j <= k is off
+    by at most E = e_0 + ... + e_k.  From the index `first`, where n >= 2x,
+    the ratio is below 1/4, so the tail after term k is at most twice term
+    k + 1, which is at most T_(k+1) + e_(k+1).  The loop stops at the first
+    k >= first with 2E + 4(T_(k+1) + e_(k+1)) <= floor(2^B / 10^digits) and
+    returns S -+ (E + 2(T_(k+1) + e_(k+1))) over 2^B, cut to [-1, 1].
+
+    Guard and termination.  The ratios from term i to term j multiply to
+    x^(2(j-i)) n_i!/n_j! <= x^(2(j-i))/(2(j-i))! <= e^x, so no term exceeds
+    e^x, and unrolling e_(j+1) <= e_j r_j + 2 gives e_j <= (1 + 2j) e^x and
+    E <= (k+1)^2 e^x.  Let X = ceil(1.443 a/b) >= x log2(e), m =
+    ceil((X + bits(10^digits) + 2)/2) and K = first + m, so that 4^m >=
+    4 e^x 10^digits.  At k = K the stop test's left side is then at most
+    2(K+5)^2 e^x + 2^B/(4 10^digits), and the guard X + 2 bits(K+5) + 2
+    bounds the first part by 2^guard/2 <= 2^B/(2 10^digits).  So the test
+    holds by k = K, and B <= digits log2(10) + 1 + X + 2 bits(K+5) + 2.
+    """
+    a, b = abs(q.numerator), q.denominator
+    a2, b2 = a * a, b * b
+    if cosine:
+        offset, first = 0, -(-a // b)  # the least j with 2j b >= 2a
+    else:
+        offset, first = 1, -(-(2 * a - b) // (2 * b))  # the least j with (2j+1) b >= 2a
+    first = max(1, first)
+    scale = 10**digits
+    exp_bits = -(-1443 * a // (1000 * b))
+    last = first + (exp_bits + scale.bit_length() + 3) // 2
+    shift = scale.bit_length() + exp_bits + 2 * (last + 5).bit_length() + 2
+    budget = (1 << shift) // scale
+    budget_bits = budget.bit_length()
+    if cosine:
+        term, err = 1 << shift, 0
+    else:
+        term, err = (a << shift) // b, 1
+    total, errs = term, err
+    for j in range(last + 1):
+        den = b2 * (2 * j + offset + 1) * (2 * j + offset + 2)
+        term = term * a2 // den
+        err = -(-err * a2 // den) + 1
+        if (j >= first and term.bit_length() + 2 <= budget_bits
+                and 2 * errs + 4 * (term + err) <= budget):
+            break
+        total = total - term if j % 2 == 0 else total + term
+        errs += err
+    else:  # the docstring shows the test holds by j = last
+        raise RuntimeError(f"sin/cos series past its term bound {last}")
+    if not cosine and q < 0:
+        total = -total
+    rad = errs + 2 * (term + err)
+    return Enclosure(Fraction(total - rad, 1 << shift),
+                     Fraction(total + rad, 1 << shift)).intersect(Enclosure(-1, 1))
 
 
 def sin_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
     """Enclosure of sin(q) of width <= 10**-digits (no argument reduction;
-    intended for desk-scale |q|).  The Taylor series is summed in integers
-    over one common denominator, as for cos and exp."""
+    intended for desk-scale |q|).  The Taylor series is summed in fixed
+    point (`_sin_like`): the endpoints are dyadic over 2^B with B about
+    digits log2(10) + 1.443|q| + 2 log2(terms), whatever q's denominator."""
+    _check_digits(digits)
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(0)
@@ -233,7 +284,9 @@ def sin_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
 
 
 def cos_enclosure(q: RationalLike, digits: int = 12) -> Enclosure:
-    """Enclosure of cos(q) of width <= 10**-digits."""
+    """Enclosure of cos(q) of width <= 10**-digits, summed in fixed point
+    as sin_enclosure: dyadic endpoints over 2^B, B as there."""
+    _check_digits(digits)
     q = to_rational(q)
     if q == 0:
         return Enclosure.point(1)
@@ -247,7 +300,7 @@ def _atan_inverse_integer(m: int, digits: int) -> Enclosure:
     # terms are taken, which keeps higher-precision enclosures inside
     # lower-precision ones.
     m2 = m * m
-    num, den, mid, term, nxt_den = _ratio_sum(1, m, (-1, -2), (3 * m2, 2 * m2, 0), 0, 10**digits)
+    num, den, mid, term, nxt_den = _ratio_sum(1, m, (-1, -2), (3 * m2, 2 * m2), 0, 10**digits)
     total, after = Fraction(num, den), Fraction(mid + term, nxt_den)
     return Enclosure(min(total, after), max(total, after))
 
@@ -259,6 +312,7 @@ def pi_enclosure(digits: int = 12) -> Enclosure:
     """Enclosure of pi of width <= 10**-digits (Machin's identity,
     with the alternating-series tail estimate on each arctangent).  Each
     arctangent series is summed in integers over one common denominator."""
+    _check_digits(digits)
     value = _PI_CACHE.get(digits)
     if value is None:
         inner = digits + 2
@@ -769,7 +823,7 @@ def constants(which: str, n: int) -> Enclosure:
     if which == "e":
         # Terms 1/k!, ratio 1/(k+1).  With scale 1 the kernel stops at
         # exactly k = n, since t_(n+1) = 1/(n+1)! <= 1.
-        num, den, mid, term, nxt_den = _ratio_sum(1, 1, (1, 0), (1, 1, 0), n, 1)
+        num, den, mid, term, nxt_den = _ratio_sum(1, 1, (1, 0), (1, 1), n, 1)
         return Enclosure(Fraction(num, den), Fraction(mid + 3 * term, nxt_den))
     if which in ("ln2", "pi_over_4"):
         from certreal.series import _alternating_bracket

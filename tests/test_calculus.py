@@ -79,6 +79,25 @@ def test_bisect_cos_to_300_halvings():
     assert result.enclosure.lo < half_pi.lo and half_pi.hi < result.enclosure.hi
 
 
+def test_bisect_cos_probes_stay_digit_sized():
+    # every sign test of the 300-halving bisection asks cos for up to 99
+    # digits at a dyadic a/2^k; summed as an exact series its endpoints
+    # reached 23,303 bits, on the fixed-point grid they stay near
+    # digits log2(10)
+    widest = []
+
+    def probe(x, digits):
+        enc = cos_enclosure(x, digits)
+        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length())
+                   for v in (enc.lo, enc.hi))
+        widest.append((bits - 8 * digits, x, digits))
+        return enc
+
+    bisect(Bracket(FnDescriptor(name="cos", eval_enc=probe), 1, 2), 300)
+    assert len(widest) > 300
+    assert max(widest)[0] <= 256, max(widest)
+
+
 def test_bisect_sign_test_reaches_past_the_bracket_digits():
     # after 100 halvings of [0, 1] the bracket is [m, m + 1]/2^100 with
     # m = floor(2^100/3), and the root lies 10^-5 bracket widths past its

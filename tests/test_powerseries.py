@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certreal.core import (
     Enclosure,
@@ -383,8 +383,9 @@ def test_exp_early_exit_keeps_decreasing():
 
 
 def _reference_sin_like(q: F, digits: int, cosine: bool) -> Enclosure:
-    """sin/cos as a plain Fraction loop, one reduction per term; the
-    integer kernel must return the same endpoints."""
+    """sin/cos as a plain Fraction loop, one reduction per term.  The
+    fixed-point kernel rounds on its own grid, so it is held to contain
+    this loop's enclosure at 30 more digits, not to its endpoints."""
     target = F(1, 10**digits)
     total = term = F(1) if cosine else q
     k = 0 if cosine else 1
@@ -401,9 +402,14 @@ def _reference_sin_like(q: F, digits: int, cosine: bool) -> Enclosure:
 @given(st.fractions(min_value=-24, max_value=24, max_denominator=10**4).filter(lambda q: q != 0),
        st.integers(min_value=1, max_value=120))
 def test_sin_cos_enclosures_match_fraction_loop(q, digits):
+    _assert_sin_cos_contain_the_fraction_loop(q, digits)
+
+
+def _assert_sin_cos_contain_the_fraction_loop(q: F, digits: int) -> None:
     for enclosure, cosine in ((sin_enclosure, False), (cos_enclosure, True)):
-        enc, ref = enclosure(q, digits), _reference_sin_like(q, digits, cosine)
-        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+        enc, ref = enclosure(q, digits), _reference_sin_like(q, digits + 30, cosine)
+        assert enc.lo <= ref.lo and ref.hi <= enc.hi, (q, digits, cosine)
+        assert enc.width() <= F(1, 10**digits), (q, digits, cosine)
 
 
 def _reference_atan_inverse_integer(m: int, digits: int) -> Enclosure:
@@ -437,7 +443,8 @@ def test_ratio_series_match_the_fraction_loops_at_their_guards():
     # q = a/b on which (k+1) b = 2a (exp) or k b = 2|a| (sin/cos) has an
     # integer solution k, and the points between them.  At digits 0, 1 and
     # 4 the guard binds up to q = 3/2; past it the size test binds long after
-    # the guard, so the grid stops at q = 4.
+    # the guard, so the grid stops at q = 4.  exp keeps the loop's endpoints;
+    # sin and cos contain its enclosure at 30 more digits.
     for b in range(1, 13):
         for a in range(1, 4 * b + 1):
             for digits in (0, 1, 4):
@@ -445,9 +452,7 @@ def test_ratio_series_match_the_fraction_loops_at_their_guards():
                 enc, ref = exp_enclosure(q, digits), _reference_exp(q, digits)
                 assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (q, digits)
                 for x in (q, -q):
-                    for enclosure, cosine in ((sin_enclosure, False), (cos_enclosure, True)):
-                        enc, ref = enclosure(x, digits), _reference_sin_like(x, digits, cosine)
-                        assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (x, digits, cosine)
+                    _assert_sin_cos_contain_the_fraction_loop(x, digits)
 
 
 def test_atan_inverse_integer_matches_fraction_loop_on_a_grid():
@@ -489,6 +494,56 @@ def test_sin_cos_pi_build_a_constant_number_of_fractions():
     assert counts[0] == counts[1] <= 16, counts
 
 
+def _endpoint_bits(enc: Enclosure) -> int:
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in (enc.lo, enc.hi))
+
+
+def _dyadic(magnitude: int, max_shift: int):
+    """Rationals n/2^k with |n/2^k| <= magnitude and k <= max_shift: the
+    midpoints a bisection probes."""
+    return st.integers(min_value=0, max_value=max_shift).flatmap(
+        lambda k: st.integers(min_value=-magnitude << k, max_value=magnitude << k).map(
+            lambda n: F(n, 1 << k)))
+
+
+# a 4,001-bit denominator, the shape of TaggedAngle's pi-scaled argument
+_WIDE_DENOMINATOR = F(6 * (2**4000 + 1) // 7, 2**4000 + 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.fractions(min_value=-24, max_value=24, max_denominator=10**6),
+                 _dyadic(24, 320), st.just(_WIDE_DENOMINATOR)),
+       st.integers(min_value=1, max_value=1000))
+@example(F(24), 1000)
+@example(F(-24), 1)
+@example(F(-(2**319 + 1), 2**320), 1000)
+@example(_WIDE_DENOMINATOR, 1000)
+def test_sin_cos_endpoints_stay_digit_sized(q, digits):
+    # fixed point on a 2^-B grid with B about digits log2(10) + 1.443 |q|
+    # + 2 log2(terms), whatever the size of q's denominator; the exact
+    # series grew by about 2 log2(b) bits a term, to 23,303 bits at 99
+    # digits on a cos probe of bisect(cos, 1, 2, 300)
+    for enclosure in (sin_enclosure, cos_enclosure):
+        assert _endpoint_bits(enclosure(q, digits)) <= 8 * digits + 256, (q, digits)
+
+
+_DIGIT_CHECKED = {
+    "sin": lambda d: sin_enclosure(F(1, 3), d),
+    "cos": lambda d: cos_enclosure(F(1, 3), d),
+    "exp": lambda d: exp_enclosure(F(1, 3), d),
+    "ln": lambda d: ln_enclosure(F(1, 3), d),
+    "pi": pi_enclosure,
+    "sqrt": lambda d: sqrt_enclosure(F(1, 3), d),
+    "nth_root": lambda d: nth_root_enclosure(F(1, 3), 3, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGIT_CHECKED))
+def test_a_negative_digit_count_is_a_value_error(name):
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        _DIGIT_CHECKED[name](-1)
+
+
 def _positive(bound, denominator):
     return st.fractions(min_value=0, max_value=bound, max_denominator=denominator).filter(
         lambda q: q > 0
@@ -506,6 +561,9 @@ _ORACLE_CASES = {
             lambda mp, q: mp.sin(q)),
     "cos": (st.fractions(-20, 20, max_denominator=10**6), 80, 10, cos_enclosure,
             lambda mp, q: mp.cos(q)),
+    # bisection probes: dyadic arguments with up to 320-bit denominators
+    "sin_dyadic": (_dyadic(4, 320), 100, 10, sin_enclosure, lambda mp, q: mp.sin(q)),
+    "cos_dyadic": (_dyadic(4, 320), 100, 10, cos_enclosure, lambda mp, q: mp.cos(q)),
     "pi": (None, 80, 10, lambda _, digits: pi_enclosure(digits), lambda mp, _: mp.pi),
     "gamma": (_positive(4, 10**3), 25, 10, gamma, lambda mp, q: mp.gamma(q)),
     # the fixed-point series at up to 60 digits; gamma(16) has 13 digits
@@ -565,9 +623,11 @@ def test_enclosure_contains_mpmath(name, data):
                             width)
 
 
-@pytest.mark.parametrize("digits", [500, 1000])
+@pytest.mark.parametrize("digits", [200, 500, 1000])
 @pytest.mark.parametrize("name, q", [("sin", F(-11, 8)), ("sin", F(20)), ("cos", F(355, 113)),
-                                     ("cos", F(-7, 3)), ("pi", F(0))])
+                                     ("cos", F(-7, 3)), ("pi", F(0)),
+                                     ("sin", F(-(2**319 + 1), 2**320)),
+                                     ("cos", F(3**200, 2**320)), ("sin", _WIDE_DENOMINATOR)])
 def test_high_precision_contains_mpmath(name, q, digits):
     """The integer kernels at the precisions the hypothesis oracle does not
     reach: mpmath at twice the digits lies inside, and the width is met."""
